@@ -84,8 +84,8 @@ pub use dvs_sweep::mean;
 /// `min_vertex_separator` solves, but spans the *entire* circuit — a
 /// deliberately heavier graph than the TCB-fed critical-path networks
 /// production Gscale builds. The criterion `max_flow` group uses it as a
-/// stress microbench; `parallel_bench` times the real thing via
-/// [`dvs_core::FlowSession::capture_separators`].
+/// stress microbench; the `perfbench` ledger's `flow.separator_s` row
+/// times the real thing via [`dvs_core::FlowSession::capture_separators`].
 pub fn separator_workload(net: &dvs_netlist::Network) -> dvs_flow::SeparatorProblem {
     let gates: Vec<dvs_netlist::NodeId> =
         net.gate_ids().filter(|&g| !net.node(g).is_dead()).collect();

@@ -33,13 +33,6 @@ pub struct FlowConfig {
     /// path-conflicting rivals, and repeats — cheaper, but it can strand
     /// weight the exact antichain would have captured.
     pub dscale_greedy_selection: bool,
-    /// Serve the flow's power queries from the session's journal-aware
-    /// incremental engine (`true`, default): edits re-simulate only their
-    /// dirty fanout cones instead of the whole network. `false` restores
-    /// the pre-incremental full re-simulation driver. Results are
-    /// identical either way — the differential suite proves the
-    /// incremental path bit-compatible — only the cost moves.
-    pub incremental_power: bool,
     /// Intra-circuit worker threads for the parallel paths (Dscale
     /// candidate scoring, wavefront power simulation). `0` (default)
     /// defers to the process-wide [`dvs_pool::circuit_jobs`] width —
@@ -61,7 +54,6 @@ impl Default for FlowConfig {
             guard_ns: 1e-9,
             dscale_net_weighting: true,
             dscale_greedy_selection: false,
-            incremental_power: true,
             circuit_jobs: 0,
         }
     }

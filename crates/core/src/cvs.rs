@@ -70,11 +70,8 @@ pub(crate) fn cvs_counted(
             counters.rail_edits += 1;
             let events = timing.apply_gate_change(net, lib, g) as u64;
             counters.sta_events += events;
-            // mirror into the metrics registry: this path bypasses the
-            // session's set_rail, so it must emit its own counters and
-            // attribution (sta.events rides the apply fn itself)
-            dvs_obs::counter_add("session.rail_edits", 1);
-            dvs_obs::counter_add("session.sta_events", events);
+            // this path bypasses the session's set_rail, so it must emit
+            // its own attribution (sta.events rides the apply fn itself)
             dvs_obs::attr_add("session.edits", || net.node(g).name().to_string(), 1);
             lowered.push(g);
         }

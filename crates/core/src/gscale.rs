@@ -8,7 +8,7 @@ use dvs_netlist::{Network, NodeId, Rail, SizeIx};
 use dvs_sta::Timing;
 use dvs_synth::total_area;
 
-use crate::session::{FlowCounters, FlowSession, TraceEvent};
+use crate::session::{FlowCounters, FlowSession};
 use crate::FlowConfig;
 
 /// Result of [`gscale`].
@@ -24,8 +24,8 @@ pub struct GscaleOutcome {
     pub area_before: f64,
     /// Total cell area after sizing.
     pub area_after: f64,
-    /// Instrumentation delta for this phase (zero `hot_rebuilds`; at most
-    /// one rollback — the power fallback to the CVS checkpoint).
+    /// Instrumentation delta for this phase (at most one rollback — the
+    /// power fallback to the CVS checkpoint — and no other full analysis).
     pub counters: FlowCounters,
 }
 
@@ -69,12 +69,10 @@ pub fn gscale(net: &mut Network, lib: &Library, tspec_ns: f64, cfg: &FlowConfig)
 pub fn gscale_session(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> GscaleOutcome {
     cfg.assert_valid();
     let _span = dvs_obs::span("gscale");
-    if cfg.incremental_power {
-        // one-time cache construction is session setup, not phase cost —
-        // billed before the entry snapshot, mirroring how FlowSession::new
-        // pays the first timing analysis
-        sess.ensure_power(cfg);
-    }
+    // one-time cache construction is session setup, not phase cost —
+    // billed before the entry snapshot, mirroring how FlowSession::new
+    // pays the first timing analysis
+    sess.ensure_power(cfg);
     let entry = *sess.counters();
     let lib = sess.library();
     let area_before = total_area(sess.network(), lib);
@@ -129,21 +127,21 @@ pub fn gscale_session(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> GscaleOut
                 c
             }
             _ => {
-                sess.emit(TraceEvent::GscaleStop {
-                    iteration: iterations,
-                    reason: "no finite-weight separator",
+                dvs_obs::instant("gscale.stop", || {
+                    format!("[gscale] iter {iterations}: no finite-weight separator -> stop")
                 });
                 break; // nothing resizable can speed the boundary up
             }
         };
-        sess.emit(TraceEvent::GscaleIteration {
-            iteration: iterations,
-            tcb: tcb.len(),
-            cpn: cpn.len(),
-            cut: cut.len(),
-            area,
-            budget,
-            worst_slack_ns: sess.timing().worst_po_slack(),
+        dvs_obs::instant("gscale.iteration", || {
+            format!(
+                "[gscale] iter {iterations}: tcb={} cpn={} cut={} \
+                 area={area:.1}/{budget:.1} slack_before={:.4}",
+                tcb.len(),
+                cpn.len(),
+                cut.len(),
+                sess.timing().worst_po_slack(),
+            )
         });
 
         // Resize the whole cut as one batch ("simultaneously resize" in
@@ -167,10 +165,12 @@ pub fn gscale_session(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> GscaleOut
             area += delta_area;
             applied.push((g, cur, delta_area));
         }
-        sess.emit(TraceEvent::GscaleBatch {
-            iteration: iterations,
-            applied: applied.len(),
-            worst_slack_ns: sess.timing().worst_po_slack(),
+        dvs_obs::instant("gscale.batch", || {
+            format!(
+                "[gscale] iter {iterations}: applied={} slack_after_batch={:.4}",
+                applied.len(),
+                sess.timing().worst_po_slack(),
+            )
         });
         // Repair. The weight model is local, so batch members can injure
         // sibling paths: up-sizing gate `g` loads its fanin `f`, slowing
@@ -287,9 +287,8 @@ pub fn gscale_session(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> GscaleOut
             }
         }
         if applied.is_empty() {
-            sess.emit(TraceEvent::GscaleStop {
-                iteration: iterations,
-                reason: "batch fully reverted/blocked",
+            dvs_obs::instant("gscale.stop", || {
+                format!("[gscale] iter {iterations}: batch fully reverted/blocked -> stop")
             });
             break; // budget exhausted or every resize bounced off timing
         }
@@ -343,7 +342,9 @@ pub fn gscale_session(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> GscaleOut
     resized.retain(|&g| sess.network().node(g).size() != entry_sizes[g.index()]);
 
     if !resized.is_empty() && sess.measure_power(cfg) > cvs_power {
-        sess.emit(TraceEvent::PowerFallback { phase: "gscale" });
+        dvs_obs::instant("power.fallback", || {
+            "[gscale] power fallback to the CVS snapshot".to_string()
+        });
         // the sizing campaign lost: roll back to the pure CVS cluster
         sess.rollback(cvs_checkpoint);
         area = total_area(sess.network(), lib);
@@ -657,7 +658,6 @@ mod tests {
             ..FlowConfig::default()
         };
         let out = gscale(&mut net, &lib, p.tspec_ns, &cfg);
-        assert_eq!(out.counters.hot_rebuilds, 0);
         assert_eq!(out.counters.checkpoints, 1);
         assert!(
             out.counters.rollbacks <= 1,

@@ -29,8 +29,8 @@
 //! incrementally consistent through every rail, size and converter edit
 //! (no hot-path rebuilds), provides O(changes) checkpoint/rollback via the
 //! netlist edit journal (no whole-network clones), counts everything it
-//! does in [`FlowCounters`], and emits structured [`TraceEvent`]s instead
-//! of ad-hoc stderr prints. The classic free functions ([`cvs`],
+//! does in [`FlowCounters`], and emits its trace lines as
+//! [`dvs_obs::instant`] events instead of ad-hoc stderr prints. The classic free functions ([`cvs`],
 //! [`dscale`], [`gscale`]) remain as thin wrappers that open a session
 //! internally.
 //!
@@ -75,4 +75,4 @@ pub use dscale::{dscale, dscale_session, score_candidates, DscaleOutcome};
 pub use dvs_obs::{thread_cpu_raw_ns, thread_cpu_time, CpuLap, CpuTimer};
 pub use gscale::{gscale, gscale_session, GscaleOutcome};
 pub use report::{measure_power, run_circuit, AlgoReport, CircuitRun};
-pub use session::{FlowCounters, FlowSession, TraceEvent};
+pub use session::{FlowCounters, FlowSession};

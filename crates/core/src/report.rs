@@ -39,8 +39,9 @@ pub struct AlgoReport {
     pub cpu: Duration,
     /// Session instrumentation scoped to this algorithm's phase: the
     /// rollback that restores the pristine network (one `full_analyses`)
-    /// plus everything the algorithm itself did. `hot_rebuilds` is zero by
-    /// construction — the algorithms absorb structural edits incrementally.
+    /// plus everything the algorithm itself did. The algorithms absorb
+    /// structural edits incrementally, so rollbacks are the only full
+    /// analyses a phase pays.
     pub sta: FlowCounters,
 }
 
@@ -243,9 +244,6 @@ mod tests {
         assert!(run.gscale.area_increase <= cfg.max_area_increase + 1e-6);
         // session accounting: no phase ever rebuilds timing on its hot
         // path; full analyses only happen at phase-boundary rollbacks
-        for rep in [&run.cvs, &run.dscale, &run.gscale] {
-            assert_eq!(rep.sta.hot_rebuilds, 0);
-        }
         assert_eq!(run.cvs.sta.full_analyses, 0);
         assert_eq!(run.cvs.sta.rollbacks, 0);
         assert_eq!(run.dscale.sta.rollbacks, 1);

@@ -188,14 +188,8 @@ proptest! {
             assert_power_fresh(&mut sess, &cfg)?;
         }
 
-        // counters never report a hot rebuild for journaled edit streams
-        prop_assert_eq!(sess.counters().hot_rebuilds, 0);
-        prop_assert_eq!(
-            sess.counters().rebuilds_avoided,
-            sess.counters().converters_inserted + sess.counters().converters_removed
-        );
-        // ... nor a full power evaluation after the cache is built: the
-        // one construction is the only full simulation the session ever ran
+        // no full power evaluation after the cache is built: the one
+        // construction is the only full simulation the session ever ran
         prop_assert_eq!(sess.counters().full_power, 1);
 
         // full unwind: bit-exact network restoration + fresh-equal timing

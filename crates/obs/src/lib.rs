@@ -78,7 +78,7 @@ pub use clock::{thread_cpu_raw_ns, thread_cpu_time, wall_ns, CpuLap, CpuTimer};
 pub use record::{bucket_lo, bucket_of, Hist, InstantRecord, SpanRecord, HIST_BUCKETS};
 pub use recorder::{HistRollup, ObsMark, Recorder, Rollup, SpanRollup, Trace};
 pub use sampler::{Sampler, SamplerStats};
-pub use stderr::{install_stderr_tracer_from_env, StderrTracer};
+pub use stderr::StderrTracer;
 pub use stream::{StreamStats, Writer};
 
 /// Receives every observability record while installed via

@@ -4,9 +4,8 @@
 //! lines; now the phases emit [`crate::instant`] events with the same
 //! rendered text and this subscriber prints them, so there is exactly one
 //! emit path. Combine with a [`crate::Recorder`] via [`crate::Tee`] when
-//! both printing and buffering are wanted.
-
-use std::sync::Arc;
+//! both printing and buffering are wanted; `dvs-sweep` does exactly that
+//! when the `DVS_TRACE` environment variable is set.
 
 use crate::record::InstantRecord;
 use crate::Subscriber;
@@ -20,18 +19,4 @@ impl Subscriber for StderrTracer {
     fn instant(&self, rec: InstantRecord) {
         eprintln!("{}", rec.text);
     }
-}
-
-/// Installs a [`StderrTracer`] as the global subscriber when the
-/// `DVS_TRACE` environment variable is set and no subscriber is installed
-/// yet. Idempotent and cheap to call from constructors; never replaces an
-/// existing subscriber (a CLI that wants both tracing and recording
-/// installs a [`crate::Tee`] itself). Returns `true` when this call
-/// performed the install.
-pub fn install_stderr_tracer_from_env() -> bool {
-    if std::env::var_os("DVS_TRACE").is_none() || crate::subscriber_installed() {
-        return false;
-    }
-    crate::set_subscriber(Some(Arc::new(StderrTracer)));
-    true
 }

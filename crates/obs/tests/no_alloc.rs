@@ -78,7 +78,7 @@ fn disabled_path_allocates_nothing() {
         {
             let _g = dvs_obs::span("phase");
             let _h = dvs_obs::span_with("iter", || format!("detail {i}"));
-            dvs_obs::counter_add("session.rail_changes", 1);
+            dvs_obs::counter_add("pool.tasks", 1);
             dvs_obs::gauge_set("session.nodes", i as f64);
             dvs_obs::hist_record("sta.events_per_change", i);
             dvs_obs::attr_add("sta.events", || format!("gate-{i}"), i);

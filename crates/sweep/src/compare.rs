@@ -4,11 +4,11 @@
 //! Joins the scenarios of an old and a new `BENCH_sweep.json` by id and
 //! reports per-scenario power / improvement / runtime deltas (new − old),
 //! plus ids present on only one side. Both documents must carry a schema
-//! tag this crate can read (`dvs-sweep/v1` through `v5`) — anything
-//! else is an error, which the CLI turns into a nonzero exit.
+//! tag this crate can read ([`READABLE_SCHEMAS`]) — anything else is an
+//! error, which the CLI turns into a nonzero exit.
 //!
-//! When both sides are `v3`+ (or otherwise carry per-scenario `obs`
-//! objects), the diff additionally reports per-phase **self-time** deltas
+//! When both sides carry per-scenario `obs` objects, the diff
+//! additionally reports per-phase **self-time** deltas
 //! from the span rollups, so a "Gscale got 2× slower" regression is
 //! visible next to the power columns it did not move. The measurement
 //! gate ([`Comparison::gate`]) never consumes those timing deltas — CI
@@ -20,22 +20,11 @@ use std::fmt::Write as _;
 
 use crate::json::Json;
 
-/// Schema tags [`compare`] can read. `v1` documents lack the `sta`
-/// counter objects (which the diff does not consume) and, like `v2`, the
-/// per-scenario `obs` rollups (whose absence just yields empty phase
-/// deltas); `v4` adds the `attr` attribution blocks, which the diff
-/// tolerates on either side without consuming; `v5` adds the
-/// incremental-power counters inside `sta`, likewise not consumed; `v6`
-/// adds the intra-circuit parallelism counters (`par_tasks`,
-/// `par_batches`, `pool.*`), also not consumed by the diff.
-pub const READABLE_SCHEMAS: [&str; 6] = [
-    "dvs-sweep/v1",
-    "dvs-sweep/v2",
-    "dvs-sweep/v3",
-    "dvs-sweep/v4",
-    "dvs-sweep/v5",
-    "dvs-sweep/v6",
-];
+/// Schema tags [`compare`] can read. `v7` differs from `v6` only in
+/// counters the diff does not consume (`sta.hot_rebuilds`,
+/// `sta.rebuilds_avoided` and the `session.*` entries of `obs.counters`),
+/// so the two mix freely.
+pub const READABLE_SCHEMAS: [&str; 2] = ["dvs-sweep/v6", "dvs-sweep/v7"];
 
 /// Per-algorithm deltas of one scenario, new − old.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -48,7 +37,7 @@ pub struct AlgoDelta {
     pub cpu_s: f64,
 }
 
-/// Self-time movement of one span name between two `v3` rollups.
+/// Self-time movement of one span name between two `obs` rollups.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseDelta {
     /// Span name, e.g. `gscale` or `dscale.iter`.
@@ -75,7 +64,7 @@ pub struct ScenarioDelta {
     pub cpu_s: f64,
     /// Per-phase self-time deltas from the `obs` span rollups, sorted by
     /// span name. Empty unless **both** documents carry an `obs` object
-    /// for this scenario (i.e. both are `v3`).
+    /// for this scenario.
     pub phases: Vec<PhaseDelta>,
 }
 
@@ -268,8 +257,7 @@ fn algo_delta(old: &Json, new: &Json, name: &str, id: &str) -> Result<AlgoDelta,
 }
 
 /// Span-name → `(count, self_ns)` from a scenario's `obs.spans` rollup.
-/// `None` when the scenario has no structurally sound `obs` object
-/// (pre-`v3` documents).
+/// `None` when the scenario has no structurally sound `obs` object.
 fn phases_of(sc: &Json) -> Option<BTreeMap<String, (i64, i64)>> {
     let spans = sc.get("obs")?.get("spans")?.as_array()?;
     let mut map = BTreeMap::new();
@@ -409,16 +397,16 @@ mod tests {
     #[test]
     fn joins_by_id_and_reports_deltas_and_orphans() {
         let old = doc(
-            "dvs-sweep/v1",
+            "dvs-sweep/v6",
             vec![scenario("a/s0", 100.0), scenario("gone/s0", 50.0)],
         );
         let new = doc(
-            "dvs-sweep/v2",
+            "dvs-sweep/v7",
             vec![scenario("a/s0", 90.0), scenario("fresh/s0", 10.0)],
         );
         let cmp = compare(&old, &new).expect("well-formed documents");
-        assert_eq!(cmp.old_schema, "dvs-sweep/v1");
-        assert_eq!(cmp.new_schema, "dvs-sweep/v2");
+        assert_eq!(cmp.old_schema, "dvs-sweep/v6");
+        assert_eq!(cmp.new_schema, "dvs-sweep/v7");
         assert_eq!(cmp.deltas.len(), 1);
         let d = &cmp.deltas[0];
         assert_eq!(d.id, "a/s0");
@@ -463,31 +451,34 @@ mod tests {
     }
 
     #[test]
-    fn v4_documents_are_readable_and_mix_with_v3() {
-        let old = doc("dvs-sweep/v3", vec![scenario("a/s0", 100.0)]);
-        let new = doc("dvs-sweep/v4", vec![scenario("a/s0", 99.0)]);
-        let cmp = compare(&old, &new).expect("v3 vs v4 must join");
+    fn v7_documents_are_readable_and_mix_with_v6() {
+        let old = doc("dvs-sweep/v6", vec![scenario("a/s0", 100.0)]);
+        let new = doc("dvs-sweep/v7", vec![scenario("a/s0", 99.0)]);
+        let cmp = compare(&old, &new).expect("v6 vs v7 must join");
         assert_eq!(cmp.deltas.len(), 1);
-        assert_eq!(cmp.new_schema, "dvs-sweep/v4");
+        assert_eq!(cmp.new_schema, "dvs-sweep/v7");
+        // pre-v6 documents are no longer readable
+        let v5 = doc("dvs-sweep/v5", vec![]);
+        assert!(compare(&v5, &new).is_err());
     }
 
     #[test]
-    fn v3_documents_diff_phase_self_times() {
+    fn obs_documents_diff_phase_self_times() {
         let old = doc(
-            "dvs-sweep/v3",
+            "dvs-sweep/v6",
             vec![with_obs(
                 scenario("a/s0", 100.0),
                 obs(vec![("cvs", 1, 1_000_000), ("gscale", 2, 5_000_000)]),
             )],
         );
         let new = doc(
-            "dvs-sweep/v3",
+            "dvs-sweep/v7",
             vec![with_obs(
                 scenario("a/s0", 100.0),
                 obs(vec![("cvs", 1, 3_000_000), ("dscale", 1, 700_000)]),
             )],
         );
-        let cmp = compare(&old, &new).expect("well-formed v3");
+        let cmp = compare(&old, &new).expect("well-formed documents");
         let phases = &cmp.deltas[0].phases;
         let by_name: Vec<(&str, i64, i64)> = phases
             .iter()
@@ -508,13 +499,13 @@ mod tests {
     }
 
     #[test]
-    fn pre_v3_documents_yield_empty_phase_deltas() {
-        let old = doc("dvs-sweep/v2", vec![scenario("a/s0", 100.0)]);
+    fn documents_without_obs_yield_empty_phase_deltas() {
+        let old = doc("dvs-sweep/v7", vec![scenario("a/s0", 100.0)]);
         let new = doc(
-            "dvs-sweep/v3",
+            "dvs-sweep/v7",
             vec![with_obs(scenario("a/s0", 100.0), obs(vec![("cvs", 1, 5)]))],
         );
-        let cmp = compare(&old, &new).expect("v2 stays readable");
+        let cmp = compare(&old, &new).expect("obs is optional");
         assert!(cmp.deltas[0].phases.is_empty());
         assert!(cmp.phase_totals().is_empty());
         assert!(!cmp.render().contains("phase self-time movement"));
@@ -522,8 +513,8 @@ mod tests {
 
     #[test]
     fn gate_passes_within_tolerance_and_fails_beyond() {
-        let old = doc("dvs-sweep/v3", vec![scenario("a/s0", 100.0)]);
-        let new = doc("dvs-sweep/v3", vec![scenario("a/s0", 100.5)]);
+        let old = doc("dvs-sweep/v7", vec![scenario("a/s0", 100.0)]);
+        let new = doc("dvs-sweep/v7", vec![scenario("a/s0", 100.5)]);
         let cmp = compare(&old, &new).unwrap();
         assert!(cmp.gate(1.0, 1.0).is_ok());
         let err = cmp.gate(0.1, 1.0).unwrap_err();
@@ -531,7 +522,7 @@ mod tests {
 
         // improvement gating is independent of power gating
         let drifted = doc(
-            "dvs-sweep/v3",
+            "dvs-sweep/v7",
             vec![Json::obj(vec![
                 ("id", Json::Str("a/s0".into())),
                 ("cvs", algo(100.0, 15.0, 0.5)),
@@ -545,7 +536,7 @@ mod tests {
         assert!(err.contains("dImprovement"), "{err}");
 
         // a lost scenario can never pass, whatever the tolerances
-        let empty = doc("dvs-sweep/v3", vec![]);
+        let empty = doc("dvs-sweep/v7", vec![]);
         let cmp = compare(&old, &empty).unwrap();
         let err = cmp.gate(1e9, 1e9).unwrap_err();
         assert!(err.contains("disappeared"), "{err}");
@@ -553,7 +544,7 @@ mod tests {
 
     #[test]
     fn identical_documents_diff_to_zero() {
-        let d = doc("dvs-sweep/v2", vec![scenario("a/s0", 100.0)]);
+        let d = doc("dvs-sweep/v7", vec![scenario("a/s0", 100.0)]);
         let cmp = compare(&d, &d).expect("well-formed");
         assert_eq!(cmp.max_abs_power_delta_uw(), 0.0);
         assert!(cmp.only_old.is_empty() && cmp.only_new.is_empty());
@@ -561,7 +552,7 @@ mod tests {
 
     #[test]
     fn unknown_schema_is_an_error() {
-        let good = doc("dvs-sweep/v2", vec![]);
+        let good = doc("dvs-sweep/v7", vec![]);
         let bad = doc("dvs-sweep/v99", vec![]);
         let err = compare(&bad, &good).unwrap_err();
         assert!(err.contains("unsupported schema"), "{err}");
@@ -573,16 +564,16 @@ mod tests {
 
     #[test]
     fn structurally_broken_scenarios_are_errors() {
-        let good = doc("dvs-sweep/v2", vec![scenario("a/s0", 1.0)]);
+        let good = doc("dvs-sweep/v7", vec![scenario("a/s0", 1.0)]);
         let missing_algo = doc(
-            "dvs-sweep/v2",
+            "dvs-sweep/v7",
             vec![Json::obj(vec![
                 ("id", Json::Str("a/s0".into())),
                 ("cpu_s", Json::Num(1.0)),
             ])],
         );
         assert!(compare(&good, &missing_algo).is_err());
-        let no_id = doc("dvs-sweep/v2", vec![Json::obj(vec![])]);
+        let no_id = doc("dvs-sweep/v7", vec![Json::obj(vec![])]);
         assert!(compare(&good, &no_id).is_err());
     }
 }

@@ -23,11 +23,11 @@
 //! fields, making the whole document byte-identical across worker counts
 //! (that is what the CI smoke test asserts).
 //!
-//! ## `BENCH_sweep.json` schema (`dvs-sweep/v6`)
+//! ## `BENCH_sweep.json` schema (`dvs-sweep/v7`)
 //!
 //! ```json
 //! {
-//!   "schema": "dvs-sweep/v6",
+//!   "schema": "dvs-sweep/v7",
 //!   "timing": true,              // false when --deterministic zeroed the clocks
 //!   "scenario_count": 39,
 //!   "summary": {                 // means over all scenarios
@@ -54,7 +54,6 @@
 //!                   "sta": { "rail_edits": …, "size_edits": …,
 //!                            "converters_inserted": …, "converters_removed": …,
 //!                            "sta_events": …, "full_analyses": …,
-//!                            "hot_rebuilds": 0, "rebuilds_avoided": …,
 //!                            "full_power": 0, "power_resims": …,
 //!                            "full_power_avoided": …,
 //!                            "checkpoints": …, "rollbacks": …,
@@ -69,7 +68,7 @@
 //!             "self_ns": …,          // wall minus direct children
 //!             "cpu_ns": … }
 //!         ],
-//!         "counters": { "session.rail_edits": 31, "session.sta_events": 4701, … },
+//!         "counters": { "pool.batches": 12, "pool.tasks": 3410 },
 //!         "gauges": { "session.nodes": 27900 },
 //!         "hists": [                 // log2-bucket histograms (see dvs-obs docs)
 //!           { "name": "sta.events_per_change", "count": …, "sum": …,
@@ -98,8 +97,9 @@
 //! `v2` added the per-algorithm `"sta"` objects — the
 //! [`dvs_core::FlowCounters`] snapshot of that algorithm's phase inside
 //! its [`dvs_core::FlowSession`] (edit counts, incremental-STA worklist
-//! events, rebuilds avoided, checkpoints/rollbacks). `hot_rebuilds` is
-//! zero by construction on the optimization hot paths, and CI asserts it.
+//! events, full analyses, checkpoints/rollbacks). A phase's
+//! `full_analyses` counts only its rollbacks — the optimization hot
+//! paths absorb every edit incrementally — and CI asserts it.
 //!
 //! `v3` added the per-scenario `"obs"` rollup: everything the scenario's
 //! worker thread recorded through the [`dvs_obs`] registry while the
@@ -109,8 +109,9 @@
 //! the scenario, so counts, bucket contents and gauge values are
 //! independent of `--jobs`; only the `*_ns` fields vary run to run, and
 //! `--deterministic` zeroes them (`"timing": false`) exactly like the
-//! `cpu_s`/`wall_s` columns. Documents of schema `v1`/`v2` stay readable
-//! by [`compare`]; they just produce empty phase deltas.
+//! `cpu_s`/`wall_s` columns. Session work is not mirrored into the
+//! registry: the `sta` objects are its one record, so `obs.counters`
+//! carries only the `pool.*` families below.
 //!
 //! `v4` added the per-scenario `"attr"` block: **span-scoped
 //! attribution** — which gates, separators and edits the work went to,
@@ -152,6 +153,11 @@
 //! nondeterministic execution split (`pool.tasks_per_worker`) is emitted
 //! from the worker threads and therefore never enters a scenario rollup.
 //!
+//! `v7` removed two counters that carried no information — `hot_rebuilds`
+//! (always zero) and `rebuilds_avoided` (always `converters_inserted +
+//! converters_removed`) — from each `sta` object, and the `session.*`
+//! counters that mirrored the `sta` objects from `obs.counters`.
+//!
 //! All `cpu_s` fields are **per-thread** CPU seconds
 //! ([`dvs_core::CpuTimer`]), so a loaded pool reports the same CPU cost as
 //! a sequential baseline instead of billing descheduled time.
@@ -172,8 +178,8 @@
 //!
 //! [`compare`] joins two sweep documents by scenario id and reports
 //! per-scenario power / improvement / CPU deltas (new − old) plus ids
-//! present on only one side; when both sides are `v3`+ it also diffs the
-//! per-phase self-times from the `obs` rollups. The CLI's
+//! present on only one side; when both sides carry `obs` rollups it also
+//! diffs the per-phase self-times. The CLI's
 //! `--compare OLD.json` prints the rendered table after a sweep and exits
 //! nonzero when `OLD.json` has a schema tag outside [`READABLE_SCHEMAS`];
 //! `--gate` additionally fails the run when power or improvement moved

@@ -21,8 +21,9 @@ use dvs_pool as pool;
 /// (`full_power`, `power_resims`, `full_power_avoided`); `v6` added the
 /// intra-circuit parallelism fields `par_tasks`/`par_batches` to each
 /// `sta` object and the deterministic `pool.*` families to the `obs`
-/// rollup.
-pub const SCHEMA: &str = "dvs-sweep/v6";
+/// rollup; `v7` dropped `hot_rebuilds`/`rebuilds_avoided` from `sta` and
+/// the `session.*` counter mirror from `obs`.
+pub const SCHEMA: &str = "dvs-sweep/v7";
 
 /// Flat per-algorithm numbers of one scenario (one `Table 1` + `Table 2`
 /// cell group).
@@ -45,7 +46,7 @@ pub struct AlgoSummary {
     /// Per-thread CPU seconds of the algorithm run.
     pub cpu_s: f64,
     /// `FlowSession` instrumentation scoped to this algorithm's phase
-    /// (STA worklist events, edits, rebuilds avoided, rollbacks).
+    /// (STA worklist events, edits, full analyses, rollbacks).
     pub sta: FlowCounters,
 }
 
@@ -196,8 +197,6 @@ fn counters_json(c: &FlowCounters) -> Json {
         ("converters_removed", Json::UInt(c.converters_removed)),
         ("sta_events", Json::UInt(c.sta_events)),
         ("full_analyses", Json::UInt(c.full_analyses)),
-        ("hot_rebuilds", Json::UInt(c.hot_rebuilds)),
-        ("rebuilds_avoided", Json::UInt(c.rebuilds_avoided)),
         ("full_power", Json::UInt(c.full_power)),
         ("power_resims", Json::UInt(c.power_resims)),
         ("full_power_avoided", Json::UInt(c.full_power_avoided)),
@@ -329,7 +328,7 @@ fn algo_json(a: &AlgoSummary, timing: bool) -> Json {
 }
 
 /// Serializes sweep results as the `BENCH_sweep.json` document (schema
-/// `dvs-sweep/v6`; see the crate docs for the full field reference).
+/// `dvs-sweep/v7`; see the crate docs for the full field reference).
 ///
 /// With `timing == false` every wall/CPU field renders as `0`, making the
 /// document a pure function of the grid — byte-identical across runs and
@@ -500,9 +499,9 @@ mod tests {
             doc, again,
             "timing-stripped document must not depend on jobs"
         );
-        assert!(doc.contains("\"schema\": \"dvs-sweep/v6\""));
+        assert!(doc.contains("\"schema\": \"dvs-sweep/v7\""));
         assert!(doc.contains("\"id\": \"x2.x1/paper/s0\""));
-        assert!(doc.contains("\"hot_rebuilds\": 0"));
+        assert!(!doc.contains("hot_rebuilds") && !doc.contains("rebuilds_avoided"));
         assert!(doc.contains("\"full_power\": 0"));
         assert!(doc.contains("\"power_resims\":"));
         assert!(doc.contains("\"full_power_avoided\":"));
@@ -543,13 +542,15 @@ mod tests {
             for expect in ["cvs", "dscale", "gscale", "circuit", "scenario"] {
                 assert!(names.contains(&expect), "{}: no `{expect}` span", a.id);
             }
-            // per-edit counters flowed through the registry
+            // session work is recorded in the `sta` objects only, never
+            // mirrored into the registry
+            assert!(a.dscale.sta.sta_events > 0, "{}", a.id);
             assert!(
                 a.obs
                     .counters
                     .iter()
-                    .any(|(n, v)| n == "session.sta_events" && *v > 0),
-                "{}: no sta_events counter",
+                    .all(|(n, _)| !n.starts_with("session.")),
+                "{}: session counters leaked into the registry",
                 a.id
             );
             assert!(
