@@ -11,13 +11,14 @@
 //! dvs-sweep --profiles des,C7552 --scale 1,10 --variants paper,tight-clock --seeds 0,1
 //! ```
 
-use std::fs::File;
+use std::fs::{File, OpenOptions};
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use dvs_core::FlowConfig;
-use dvs_obs::{Recorder, Sampler, StderrTracer, Subscriber, Tee};
+use dvs_obs::Recorder;
 use dvs_sweep::{
     compare, default_jobs, json, mean, run_grid_obs, to_json, write_results, ConfigVariant, Grid,
     Progress, ScenarioResult,
@@ -50,29 +51,27 @@ OPTIONS:
     --vectors N       override simulation vectors per power estimate for
                       every variant (cheapens huge sweeps)
     --out PATH        output file                      [default: BENCH_sweep.json]
+                      (every output path is checked for writability
+                      before the first scenario runs)
     --deterministic   zero all wall/CPU-time fields so the document is
                       byte-identical across runs and worker counts
     --compare PATH    after the sweep, diff the new results against an
                       earlier sweep document (per-scenario power /
                       improvement / CPU deltas, plus per-phase self-time
-                      movement when both sides are v3); exits nonzero when
+                      movement when both documents carry obs rollups);
+                      exits nonzero when
                       PATH has an unreadable schema tag
     --gate TOL        with --compare: fail (exit nonzero) when any shared
                       scenario's power moved more than TOL uW or its
                       improvement more than TOL percentage points, or when
                       the scenario sets differ. TOL may also be `UW,PP` to
                       set the two tolerances separately
-    --trace-out PATH  stream a Chrome trace-event JSON of the whole sweep
-                      (load in Perfetto / chrome://tracing; one track per
-                      worker thread). Events are written incrementally in
-                      per-thread chunks, so memory stays bounded no matter
-                      how long the sweep runs
+    --trace-out PATH  write a Chrome trace-event JSON of the whole sweep
+                      after it finishes (load in Perfetto /
+                      chrome://tracing; one track per worker thread),
+                      rendered from the recorded spans and instants
     --folded-out PATH write folded-stack lines (`thread;span;... self_ns`,
                       flamegraph.pl / inferno input) after the sweep
-    --profile MODE    always-on sampling profiler: `off`, `auto` (keep one
-                      span in 16, deterministic hash selection) or an
-                      explicit period N >= 1; prints a sample digest to
-                      stderr after the sweep            [default: off]
     --attr-summary    print the top attribution sites per domain (power
                       saved per gate, STA events per gate, flow work per
                       separator) to stderr after the sweep
@@ -82,8 +81,10 @@ OPTIONS:
 
 Progress: when stderr is a terminal and --deterministic is off, a live
 `done/total | ETA | worker busy%` meter is rewritten in place; otherwise
-one line per finished scenario is logged. DVS_TRACE=1 additionally mirrors
-the classic per-iteration trace lines to stderr.
+one line per finished scenario is logged. DVS_TRACE=1 additionally prints
+the recorded trace lines (Gscale iterations and stops, power fallbacks,
+rollbacks) to stderr after the sweep, grouped by worker thread in event
+order; with --jobs 1 that is the order in which they happened.
 ";
 
 struct Args {
@@ -96,15 +97,9 @@ struct Args {
     gate: Option<(f64, f64)>,
     trace_out: Option<PathBuf>,
     folded_out: Option<PathBuf>,
-    /// Sampling period for the always-on profiler; `None` = off.
-    profile: Option<u64>,
     attr_summary: bool,
     obs_summary: bool,
 }
-
-/// Events per thread buffered by the streaming trace writer before a
-/// flush. Peak memory is `workers x TRACE_CHUNK` rendered lines.
-const TRACE_CHUNK: usize = 256;
 
 fn parse_profiles(spec: &str) -> Result<Vec<&'static Profile>, String> {
     match spec {
@@ -142,7 +137,6 @@ fn parse_args() -> Result<Option<Args>, String> {
     let mut gate: Option<(f64, f64)> = None;
     let mut trace_out: Option<PathBuf> = None;
     let mut folded_out: Option<PathBuf> = None;
-    let mut profile: Option<u64> = None;
     let mut attr_summary = false;
     let mut obs_summary = false;
 
@@ -227,16 +221,6 @@ fn parse_args() -> Result<Option<Args>, String> {
             }
             "--trace-out" => trace_out = Some(PathBuf::from(value(&mut i, "--trace-out")?)),
             "--folded-out" => folded_out = Some(PathBuf::from(value(&mut i, "--folded-out")?)),
-            "--profile" => {
-                let spec = value(&mut i, "--profile")?;
-                profile = match spec.as_str() {
-                    "off" => None,
-                    "auto" => Some(dvs_obs::sampler::AUTO_PERIOD),
-                    n => Some(n.parse::<u64>().ok().filter(|&p| p >= 1).ok_or_else(|| {
-                        format!("`--profile` takes off, auto or a period >= 1, not `{n}`")
-                    })?),
-                };
-            }
             "--attr-summary" => attr_summary = true,
             "--obs-summary" => obs_summary = true,
             other => return Err(format!("unknown argument `{other}` (try --help)")),
@@ -272,7 +256,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         gate,
         trace_out,
         folded_out,
-        profile,
         attr_summary,
         obs_summary,
     }))
@@ -304,10 +287,35 @@ fn run_compare(
     Ok(())
 }
 
+/// Opens every output path before the sweep, so a mistyped path fails at
+/// once instead of after the whole run. `--out` and `--folded-out` are only
+/// probed: append mode proves writability without truncating an existing
+/// document. The trace file is created and returned for the export.
+fn open_outputs(args: &Args) -> Result<Option<File>, String> {
+    for path in std::iter::once(&args.out).chain(&args.folded_out) {
+        OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .map_err(|e| format!("opening {}: {e}", path.display()))?;
+    }
+    args.trace_out
+        .as_ref()
+        .map(|path| File::create(path).map_err(|e| format!("creating {}: {e}", path.display())))
+        .transpose()
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(Some(args)) => args,
         Ok(None) => return ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("dvs-sweep: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let trace_file = match open_outputs(&args) {
+        Ok(file) => file,
         Err(e) => {
             eprintln!("dvs-sweep: {e}");
             return ExitCode::FAILURE;
@@ -335,35 +343,12 @@ fn main() -> ExitCode {
         circuit_jobs,
     );
 
-    // One recorder observes the whole sweep: it feeds the per-scenario
-    // `obs`/`attr` rollups in the JSON, the folded output and the
-    // summaries. The optional streaming trace writer, sampler and (with
-    // DVS_TRACE set) the classic stderr tracer are teed alongside it.
+    // One recorder, the only subscriber, observes the whole sweep. Its
+    // thread windows feed the per-scenario `obs`/`attr` rollups in the
+    // JSON; the Chrome trace, folded stacks, summaries and DVS_TRACE lines
+    // all render from its drained trace.
     let rec = Arc::new(Recorder::new());
-    let writer = match &args.trace_out {
-        Some(path) => match File::create(path) {
-            Ok(f) => Some(Arc::new(dvs_obs::stream::Writer::new(f, TRACE_CHUNK))),
-            Err(e) => {
-                eprintln!("dvs-sweep: creating {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    let sampler = args
-        .profile
-        .map(|period| Arc::new(Sampler::new(period, dvs_obs::sampler::DEFAULT_CAPACITY)));
-    let mut sub: Arc<dyn Subscriber> = rec.clone();
-    if let Some(w) = &writer {
-        sub = Arc::new(Tee(sub, w.clone()));
-    }
-    if let Some(s) = &sampler {
-        sub = Arc::new(Tee(sub, s.clone()));
-    }
-    if std::env::var_os("DVS_TRACE").is_some() {
-        sub = Arc::new(Tee(sub, StderrTracer));
-    }
-    dvs_obs::set_subscriber(Some(sub));
+    dvs_obs::set_subscriber(Some(rec.clone()));
 
     let progress = Progress::new(total, args.jobs, args.deterministic);
     let results = run_grid_obs(&args.grid, args.jobs, Some(&rec), |r| {
@@ -380,25 +365,28 @@ fn main() -> ExitCode {
 
     dvs_obs::set_subscriber(None);
     let trace = rec.drain();
-    if let Some(w) = &writer {
-        let path = args.trace_out.as_ref().expect("writer implies --trace-out");
-        match w.finish() {
-            Ok(stats) => eprintln!(
-                "dvs-sweep: streamed {} event(s) in {} chunk(s) to {} ({} bytes, peak {} buffered)",
-                stats.events,
-                stats.chunks,
-                path.display(),
-                stats.bytes,
-                stats.max_buffered,
-            ),
-            Err(e) => {
-                eprintln!("dvs-sweep: writing {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+    if std::env::var_os("DVS_TRACE").is_some() {
+        let mut err = std::io::stderr().lock();
+        for inst in &trace.instants {
+            let _ = writeln!(err, "{}", inst.text);
         }
     }
+    if let (Some(mut file), Some(path)) = (trace_file, &args.trace_out) {
+        let doc = dvs_obs::chrome::render(&trace);
+        if let Err(e) = file.write_all(doc.as_bytes()) {
+            eprintln!("dvs-sweep: writing {}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
+        eprintln!(
+            "dvs-sweep: wrote Chrome trace to {} ({} span(s), {} instant(s), {} bytes)",
+            path.display(),
+            trace.spans.len(),
+            trace.instants.len(),
+            doc.len(),
+        );
+    }
     if let Some(path) = &args.folded_out {
-        if let Err(e) = std::fs::write(path, dvs_obs::stream::folded(&trace)) {
+        if let Err(e) = std::fs::write(path, dvs_obs::summary::folded(&trace)) {
             eprintln!("dvs-sweep: writing {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
@@ -408,9 +396,6 @@ fn main() -> ExitCode {
     }
     if args.attr_summary {
         eprint!("{}", dvs_obs::attr::render_summary(&trace, 8));
-    }
-    if let Some(s) = &sampler {
-        eprint!("{}", s.summary(8));
     }
 
     if let Err(e) = write_results(&args.out, &results, !args.deterministic) {

@@ -1,4 +1,5 @@
-//! Chrome trace-event JSON export for a drained [`Trace`].
+//! Chrome trace-event JSON export for a drained [`Trace`]; backs
+//! `dvs-sweep --trace-out`.
 //!
 //! Emits the [Trace Event Format] object form
 //! `{"traceEvents":[...]}` that Perfetto and `chrome://tracing` load
@@ -26,7 +27,7 @@ use crate::recorder::Trace;
 /// The `pid` every event carries (one process, fixed label).
 const PID: u32 = 1;
 
-pub(crate) fn escape_into(out: &mut String, s: &str) {
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -48,12 +49,7 @@ fn push_us(out: &mut String, ns: u64) {
     let _ = write!(out, "{}.{:03}", ns / 1_000, ns % 1_000);
 }
 
-// Per-event renderers, shared verbatim with the streaming writer
-// (`crate::stream`) so a streamed document and an in-memory render of the
-// same records are byte-identical event for event — equivalence by
-// construction, re-proven on random traces by the `stream_props` test.
-
-pub(crate) fn process_meta_into(out: &mut String) {
+fn process_meta_into(out: &mut String) {
     let _ = write!(
         out,
         "{{\"ph\":\"M\",\"pid\":{PID},\"name\":\"process_name\",\
@@ -61,7 +57,7 @@ pub(crate) fn process_meta_into(out: &mut String) {
     );
 }
 
-pub(crate) fn thread_meta_into(out: &mut String, tid: u32, label: Option<&str>) {
+fn thread_meta_into(out: &mut String, tid: u32, label: Option<&str>) {
     let _ = write!(
         out,
         "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\
@@ -76,7 +72,7 @@ pub(crate) fn thread_meta_into(out: &mut String, tid: u32, label: Option<&str>) 
     out.push_str("\"}}");
 }
 
-pub(crate) fn span_event_into(out: &mut String, span: &SpanRecord) {
+fn span_event_into(out: &mut String, span: &SpanRecord) {
     out.push_str("{\"ph\":\"X\",\"cat\":\"span\",\"name\":\"");
     escape_into(out, span.name);
     let _ = write!(out, "\",\"pid\":{PID},\"tid\":{},\"ts\":", span.tid);
@@ -96,7 +92,7 @@ pub(crate) fn span_event_into(out: &mut String, span: &SpanRecord) {
     out.push_str("}}");
 }
 
-pub(crate) fn instant_event_into(out: &mut String, inst: &InstantRecord) {
+fn instant_event_into(out: &mut String, inst: &InstantRecord) {
     out.push_str("{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"instant\",\"name\":\"");
     escape_into(out, inst.name);
     let _ = write!(out, "\",\"pid\":{PID},\"tid\":{},\"ts\":", inst.tid);

@@ -2,10 +2,10 @@
 //!
 //! Std-only observability for the dual-Vdd flow: **hierarchical spans**,
 //! a **metrics registry** (counters, gauges, fixed log-bucket histograms),
-//! **instant events** (the structured successors of the old `DVS_TRACE`
-//! stderr lines), per-thread **CPU clocks**, a buffering [`Recorder`] with
-//! deterministic merge, [Chrome trace-event](chrome) export and a
-//! top-spans-by-self-time [text summary](summary).
+//! **instant events** (the text lines `DVS_TRACE` prints), per-thread
+//! **CPU clocks**, a buffering [`Recorder`] with deterministic merge,
+//! [Chrome trace-event](chrome) export, and [text renderings](summary):
+//! top spans by self-time and folded stacks.
 //!
 //! ## Model
 //!
@@ -13,6 +13,12 @@
 //! every record. Instrumented code calls the free functions — [`span`],
 //! [`counter_add`], [`hist_record`], [`instant`], … — which are routed to
 //! the subscriber *only* when one is installed.
+//!
+//! The [`Recorder`] is the one production subscriber. Every output is a
+//! rendering of its drained [`Trace`]: the Chrome trace
+//! ([`chrome::render`]), folded stacks ([`summary::folded`]), the
+//! self-time and attribution digests, and the `DVS_TRACE` stderr lines
+//! (`Trace::instants` texts in drain order).
 //!
 //! ## The disabled-path cost contract
 //!
@@ -60,14 +66,11 @@
 
 pub mod attr;
 pub mod chrome;
-pub mod sampler;
-pub mod stream;
 pub mod summary;
 
 mod clock;
 mod record;
 mod recorder;
-mod stderr;
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -77,13 +80,13 @@ pub use attr::{AttrRollup, AttrSite};
 pub use clock::{thread_cpu_raw_ns, thread_cpu_time, wall_ns, CpuLap, CpuTimer};
 pub use record::{bucket_lo, bucket_of, Hist, InstantRecord, SpanRecord, HIST_BUCKETS};
 pub use recorder::{HistRollup, ObsMark, Recorder, Rollup, SpanRollup, Trace};
-pub use sampler::{Sampler, SamplerStats};
-pub use stderr::StderrTracer;
-pub use stream::{StreamStats, Writer};
 
 /// Receives every observability record while installed via
 /// [`set_subscriber`]. All methods default to no-ops so a subscriber only
 /// implements the record kinds it cares about.
+///
+/// [`Recorder`] is the implementation programs install; the trait stays
+/// open so tests can substitute capturing fakes.
 ///
 /// Methods are called from the instrumented thread, inline at the record
 /// site — implementations must be cheap and must not re-enter the
@@ -119,70 +122,6 @@ pub trait Subscriber: Send + Sync + 'static {
     /// the separator that caused it. See [`attr_add`].
     fn attribution(&self, tid: u32, seq: u64, domain: &'static str, site: &str, value: u64) {
         let _ = (tid, seq, domain, site, value);
-    }
-}
-
-/// Fans every record out to two subscribers, `a` first — e.g. the classic
-/// stderr tracer alongside a buffering [`Recorder`].
-pub struct Tee<A: Subscriber, B: Subscriber>(pub A, pub B);
-
-impl<A: Subscriber, B: Subscriber> Subscriber for Tee<A, B> {
-    fn span_end(&self, rec: SpanRecord) {
-        self.0.span_end(rec.clone());
-        self.1.span_end(rec);
-    }
-    fn counter(&self, tid: u32, seq: u64, name: &'static str, delta: u64) {
-        self.0.counter(tid, seq, name, delta);
-        self.1.counter(tid, seq, name, delta);
-    }
-    fn gauge(&self, tid: u32, seq: u64, name: &'static str, value: f64) {
-        self.0.gauge(tid, seq, name, value);
-        self.1.gauge(tid, seq, name, value);
-    }
-    fn histogram(&self, tid: u32, seq: u64, name: &'static str, value: u64) {
-        self.0.histogram(tid, seq, name, value);
-        self.1.histogram(tid, seq, name, value);
-    }
-    fn instant(&self, rec: InstantRecord) {
-        self.0.instant(rec.clone());
-        self.1.instant(rec);
-    }
-    fn thread_label(&self, tid: u32, label: &str) {
-        self.0.thread_label(tid, label);
-        self.1.thread_label(tid, label);
-    }
-    fn attribution(&self, tid: u32, seq: u64, domain: &'static str, site: &str, value: u64) {
-        self.0.attribution(tid, seq, domain, site, value);
-        self.1.attribution(tid, seq, domain, site, value);
-    }
-}
-
-/// Shared subscribers forward through the `Arc`, so a [`Recorder`] can be
-/// teed to a second sink while the caller keeps a handle for
-/// [`Recorder::drain`]: `Tee(rec.clone(), StderrTracer)`. `?Sized` so the
-/// same impl covers `Arc<dyn Subscriber>` and tees compose over erased
-/// chains (the CLI stacks recorder + stream writer + sampler this way).
-impl<S: Subscriber + ?Sized> Subscriber for Arc<S> {
-    fn span_end(&self, rec: SpanRecord) {
-        (**self).span_end(rec);
-    }
-    fn counter(&self, tid: u32, seq: u64, name: &'static str, delta: u64) {
-        (**self).counter(tid, seq, name, delta);
-    }
-    fn gauge(&self, tid: u32, seq: u64, name: &'static str, value: f64) {
-        (**self).gauge(tid, seq, name, value);
-    }
-    fn histogram(&self, tid: u32, seq: u64, name: &'static str, value: u64) {
-        (**self).histogram(tid, seq, name, value);
-    }
-    fn instant(&self, rec: InstantRecord) {
-        (**self).instant(rec);
-    }
-    fn thread_label(&self, tid: u32, label: &str) {
-        (**self).thread_label(tid, label);
-    }
-    fn attribution(&self, tid: u32, seq: u64, domain: &'static str, site: &str, value: u64) {
-        (**self).attribution(tid, seq, domain, site, value);
     }
 }
 
@@ -611,23 +550,5 @@ mod tests {
             .unwrap()
             .iter()
             .any(|i| i.name == "ev" && i.text == "hello"));
-    }
-
-    #[test]
-    fn tee_fans_out() {
-        let _serial = test_support::serial();
-        let a = Arc::new(Capture::default());
-        let b = Arc::new(Capture::default());
-        struct Wrap(Arc<Capture>);
-        impl Subscriber for Wrap {
-            fn counter(&self, tid: u32, seq: u64, name: &'static str, delta: u64) {
-                self.0.counter(tid, seq, name, delta);
-            }
-        }
-        set_subscriber(Some(Arc::new(Tee(Wrap(a.clone()), Wrap(b.clone())))));
-        counter_add("x", 1);
-        set_subscriber(None);
-        assert_eq!(a.counters.lock().unwrap().len(), 1);
-        assert_eq!(b.counters.lock().unwrap().len(), 1);
     }
 }

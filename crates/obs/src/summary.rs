@@ -1,6 +1,7 @@
-//! Compact text summary of a drained [`Trace`]: top span names by total
-//! self-time, plus one line per histogram. Backs `dvs-sweep
-//! --obs-summary`.
+//! Text renderings of a drained [`Trace`]: a compact summary of the top
+//! span names by total self-time plus one line per histogram (backs
+//! `dvs-sweep --obs-summary`), and folded-stack lines for flamegraph
+//! tooling (backs `--folded-out`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -84,6 +85,52 @@ pub fn render(trace: &Trace, top: usize) -> String {
     out
 }
 
+/// Renders a drained trace in folded-stack form (`inferno` /
+/// `flamegraph.pl` input): one line per distinct span stack,
+/// `thread;root;…;leaf self_ns`, with self time (wall minus direct
+/// children) aggregated over all occurrences of the stack and lines
+/// sorted lexicographically — deterministic for a given trace.
+#[must_use]
+pub fn folded(trace: &Trace) -> String {
+    let index: BTreeMap<(u32, u64), usize> = trace
+        .spans
+        .iter()
+        .enumerate()
+        .map(|(i, s)| ((s.tid, s.enter_seq), i))
+        .collect();
+    let self_ns = self_durations(&trace.spans);
+    let mut agg: BTreeMap<String, u64> = BTreeMap::new();
+    for (i, span) in trace.spans.iter().enumerate() {
+        let mut names: Vec<&str> = vec![span.name];
+        let mut cursor = span;
+        while let Some(parent) = cursor.parent_enter_seq {
+            match index.get(&(cursor.tid, parent)) {
+                Some(&pi) => {
+                    cursor = &trace.spans[pi];
+                    names.push(cursor.name);
+                }
+                None => break, // parent closed outside the trace window
+            }
+        }
+        let thread = match trace.thread_labels.get(&span.tid) {
+            Some(label) => label.clone(),
+            None => format!("thread-{}", span.tid),
+        };
+        let mut stack = thread;
+        for name in names.iter().rev() {
+            stack.push(';');
+            stack.push_str(name);
+        }
+        let slot = agg.entry(stack).or_insert(0);
+        *slot = slot.saturating_add(self_ns[i]);
+    }
+    let mut out = String::new();
+    for (stack, ns) in agg {
+        let _ = writeln!(out, "{stack} {ns}");
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,5 +183,33 @@ mod tests {
         assert!(text.contains(" a "));
         assert!(text.contains(" b "));
         assert!(!text.contains(" c "));
+    }
+
+    #[test]
+    fn folded_aggregates_self_time_per_stack() {
+        let span = |enter: u64, exit: u64, parent, name, dur_ns| SpanRecord {
+            tid: 1,
+            enter_seq: enter,
+            exit_seq: exit,
+            parent_enter_seq: parent,
+            depth: u32::from(parent.is_some()),
+            name,
+            detail: None,
+            start_ns: enter * 1_000,
+            dur_ns,
+            cpu_ns: 0,
+        };
+        let mut trace = Trace::default();
+        trace.thread_labels.insert(1, "worker-0".into());
+        // root 10µs with child 4µs, twice → root self 2×6000, child 2×4000
+        trace.spans.push(span(1, 4, None, "scenario", 10_000));
+        trace.spans.push(span(2, 3, Some(1), "cvs", 4_000));
+        trace.spans.push(span(5, 8, None, "scenario", 10_000));
+        trace.spans.push(span(6, 7, Some(5), "cvs", 4_000));
+        let text = folded(&trace);
+        assert_eq!(
+            text,
+            "worker-0;scenario 12000\nworker-0;scenario;cvs 8000\n"
+        );
     }
 }

@@ -162,18 +162,6 @@
 //! ([`dvs_core::CpuTimer`]), so a loaded pool reports the same CPU cost as
 //! a sequential baseline instead of billing descheduled time.
 //!
-//! ## Always-on profiling (`--profile`)
-//!
-//! The CLI can tee a [`dvs_obs::Sampler`] beside the recorder: a
-//! fixed-size ring keeping a deterministic 1-in-N subsample of span
-//! records (hash selection, no RNG — re-running a scenario reproduces
-//! its sample). The overhead contract is: the dropped-record path is
-//! one hash plus one relaxed atomic add, kept records never block (a
-//! contended ring slot drops the record and counts it), and resident
-//! memory is capped by the ring capacity — cheap enough to leave
-//! `--profile auto` on for every sweep, which CI verifies by bounding
-//! the enabled-vs-disabled wall-clock delta on the smallest profile.
-//!
 //! ## Trajectory diffs (`--compare`)
 //!
 //! [`compare`] joins two sweep documents by scenario id and reports
