@@ -16,7 +16,9 @@ const EPS: f64 = 1e-12;
 /// structural edits by [`Timing::apply_converter_insertion`] /
 /// [`Timing::apply_converter_removal`] — all three are worklist
 /// propagations touching only the affected cones, so hot loops never need
-/// the from-scratch [`Timing::rebuild`].
+/// the from-scratch [`Timing::rebuild`]. [`Timing::retarget`] moves the
+/// constraint with two linear sweeps and no re-derivation of untouched
+/// loads.
 #[derive(Debug, Clone)]
 pub struct Timing {
     tspec_ns: f64,
@@ -25,6 +27,8 @@ pub struct Timing {
     delay: Vec<f64>,
     load: Vec<f64>,
     po_sinks: Vec<u32>,
+    /// Nodes with `po_sinks > 0`, in ascending index order.
+    po_drivers: Vec<NodeId>,
     topo: Vec<NodeId>,
     topo_pos: Vec<u32>,
 }
@@ -40,6 +44,7 @@ impl Timing {
             delay: Vec::new(),
             load: Vec::new(),
             po_sinks: Vec::new(),
+            po_drivers: Vec::new(),
             topo: Vec::new(),
             topo_pos: Vec::new(),
         };
@@ -58,6 +63,10 @@ impl Timing {
             self.topo_pos[id.index()] = ix as u32;
         }
         self.po_sinks = po_sink_counts(net);
+        self.po_drivers = (0..n)
+            .filter(|&ix| self.po_sinks[ix] > 0)
+            .map(NodeId::from_index)
+            .collect();
         self.arrival = vec![0.0; n];
         self.required = vec![f64::INFINITY; n];
         self.delay = vec![0.0; n];
@@ -66,6 +75,53 @@ impl Timing {
             self.load[id.index()] = load_pf(net, lib, id, &self.po_sinks);
             self.delay[id.index()] = gate_delay(net, lib, id, self.load[id.index()]);
         }
+        self.sweep(net);
+    }
+
+    /// Re-anchors the analysis at a new constraint `tspec_ns` after gate
+    /// attribute edits, in two linear sweeps instead of a full
+    /// [`Timing::analyze`].
+    ///
+    /// Load and delay of every gate in `changed` and of its fanins are
+    /// re-derived unconditionally (the incremental updates leave a value
+    /// alone when it moves by 1e-12 ns or less, so these may be slightly
+    /// stale); every other cached load and delay is reused. One forward
+    /// sweep then recomputes every arrival time and one backward sweep
+    /// every required time at `tspec_ns`, over the cached topological
+    /// order.
+    ///
+    /// # Exactness
+    ///
+    /// The result is bit-identical to `Timing::analyze(net, lib, tspec_ns)`
+    /// provided that, since the last [`Timing::analyze`] /
+    /// [`Timing::rebuild`] / `retarget`:
+    ///
+    /// * the network saw no structural edit (no converter insertion or
+    ///   removal — those need [`Timing::rebuild`]), and
+    /// * every gate whose size or rail differs from that analysis is in
+    ///   `changed`. A gate edited and restored again, each time through
+    ///   [`Timing::apply_gate_change`], may be left out: the restoring
+    ///   update recomputes every value it moved from the original inputs.
+    pub fn retarget(&mut self, net: &Network, lib: &Library, tspec_ns: f64, changed: &[NodeId]) {
+        self.tspec_ns = tspec_ns;
+        for &g in changed {
+            self.rederive(net, lib, g);
+            for &f in net.fanins(g) {
+                self.rederive(net, lib, f);
+            }
+        }
+        self.sweep(net);
+    }
+
+    /// Recomputes load and delay of `id` from the network.
+    fn rederive(&mut self, net: &Network, lib: &Library, id: NodeId) {
+        self.load[id.index()] = load_pf(net, lib, id, &self.po_sinks);
+        self.delay[id.index()] = gate_delay(net, lib, id, self.load[id.index()]);
+    }
+
+    /// One forward arrival sweep and one backward required sweep over the
+    /// cached topological order.
+    fn sweep(&mut self, net: &Network) {
         for &id in &self.topo {
             self.arrival[id.index()] = self.compute_arrival(net, id);
         }
@@ -145,11 +201,9 @@ impl Timing {
         // PO slack equals tspec − arrival at the driver; required at a
         // driver may be tighter than tspec because of other fanouts, so use
         // the constraint directly.
-        self.po_sinks
+        self.po_drivers
             .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(ix, _)| self.tspec_ns - self.arrival[ix])
+            .map(|d| self.tspec_ns - self.arrival[d.index()])
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -261,8 +315,7 @@ impl Timing {
         self.topo.push(conv);
         self.recount_po_sinks(net, &[driver, conv]);
         for id in [driver, conv] {
-            self.load[id.index()] = load_pf(net, lib, id, &self.po_sinks);
-            self.delay[id.index()] = gate_delay(net, lib, id, self.load[id.index()]);
+            self.rederive(net, lib, id);
         }
         let mut events = 2;
         let fwd = [driver, conv]
@@ -308,8 +361,7 @@ impl Timing {
         self.delay[cix] = 0.0;
         self.load[cix] = 0.0;
         self.recount_po_sinks(net, &[driver, conv]);
-        self.load[driver.index()] = load_pf(net, lib, driver, &self.po_sinks);
-        self.delay[driver.index()] = gate_delay(net, lib, driver, self.load[driver.index()]);
+        self.rederive(net, lib, driver);
         let mut events = 1;
         let fwd = std::iter::once(driver).chain(net.fanouts(driver).iter().copied());
         events += self.propagate_forward(net, fwd);
@@ -326,7 +378,7 @@ impl Timing {
 
     /// Recounts `po_sinks` for just the given nodes by scanning the
     /// primary-output list (structural edits only ever move outputs between
-    /// a converter and its driver).
+    /// a converter and its driver), and keeps `po_drivers` in step.
     fn recount_po_sinks(&mut self, net: &Network, nodes: &[NodeId]) {
         for &id in nodes {
             self.po_sinks[id.index()] = 0;
@@ -334,6 +386,18 @@ impl Timing {
         for (_, d) in net.primary_outputs() {
             if nodes.contains(d) {
                 self.po_sinks[d.index()] += 1;
+            }
+        }
+        for &id in nodes {
+            match (
+                self.po_drivers.binary_search(&id),
+                self.po_sinks[id.index()] > 0,
+            ) {
+                (Err(at), true) => self.po_drivers.insert(at, id),
+                (Ok(at), false) => {
+                    self.po_drivers.remove(at);
+                }
+                _ => {}
             }
         }
     }
@@ -587,7 +651,19 @@ mod tests {
                 "delay {id}"
             );
         }
-        assert!((t.worst_po_slack() - fresh.worst_po_slack()).abs() < 1e-9);
+        assert_eq!(
+            t.worst_po_slack().to_bits(),
+            fresh.worst_po_slack().to_bits()
+        );
+        // the PO-driver list folds the same values in the same order as a
+        // scan of the per-node output counts
+        let scan = po_sink_counts(net)
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c > 0)
+            .map(|(ix, _)| t.tspec_ns() - t.arrival_ns(NodeId::from_index(ix)))
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(t.worst_po_slack().to_bits(), scan.to_bits());
         assert!((t.critical_delay_ns(net) - fresh.critical_delay_ns(net)).abs() < 1e-9);
     }
 
@@ -669,6 +745,98 @@ mod tests {
             net.remove_converter(conv).unwrap();
             t.apply_converter_removal(&net, &lib, conv, drv);
         }
+        assert_matches_fresh(&t, &net, &lib);
+    }
+
+    /// Asserts every per-node value of `t` equals a fresh analysis at
+    /// `t`'s constraint bit for bit.
+    fn assert_bits_match_fresh(t: &Timing, net: &Network, lib: &Library) {
+        let fresh = Timing::analyze(net, lib, t.tspec_ns());
+        for id in net.node_ids() {
+            assert_eq!(t.arrival_ns(id).to_bits(), fresh.arrival_ns(id).to_bits());
+            assert_eq!(t.required_ns(id).to_bits(), fresh.required_ns(id).to_bits());
+            assert_eq!(t.load_pf(id).to_bits(), fresh.load_pf(id).to_bits());
+            assert_eq!(t.delay_ns(id).to_bits(), fresh.delay_ns(id).to_bits());
+        }
+    }
+
+    #[test]
+    fn retarget_repairs_sub_epsilon_moves() {
+        use dvs_celllib::{Cell, GateFn, LibraryBuilder, SizeVariant};
+        // d1 differs from d0 by less than the incremental tolerance in both
+        // input capacitance and delay, so `apply_gate_change` leaves the
+        // edited gate and its fanin with stale values
+        let d0 = SizeVariant {
+            name: "d0".into(),
+            area: 1.0,
+            input_cap_pf: 0.01,
+            intrinsic_ns: 0.1,
+            drive_res_ns_per_pf: 3.0,
+            internal_cap_pf: 0.005,
+            leakage_nw: 1.0,
+        };
+        let d1 = SizeVariant {
+            name: "d1".into(),
+            input_cap_pf: 0.01 + 1e-13,
+            intrinsic_ns: 0.1 - 1e-13,
+            ..d0.clone()
+        };
+        let lib = LibraryBuilder::new("tiny")
+            .cell(Cell::new("INV", GateFn::Inv, vec![d0.clone(), d1]))
+            .converter_cell(vec![d0])
+            .build()
+            .unwrap();
+        let inv = lib.find("INV").unwrap();
+        let mut net = Network::new("sub-eps");
+        let a = net.add_input("a");
+        let g1 = net.add_gate("g1", inv, &[a]);
+        let g2 = net.add_gate("g2", inv, &[g1]);
+        net.add_output("y", g2);
+        let mut t = Timing::analyze(&net, &lib, 1.0);
+        net.set_size(g2, SizeIx(1));
+        t.apply_gate_change(&net, &lib, g2);
+        let fresh = Timing::analyze(&net, &lib, 2.0);
+        assert_ne!(t.load_pf(g1).to_bits(), fresh.load_pf(g1).to_bits());
+        assert_ne!(t.delay_ns(g2).to_bits(), fresh.delay_ns(g2).to_bits());
+        t.retarget(&net, &lib, 2.0, &[g2]);
+        assert_bits_match_fresh(&t, &net, &lib);
+    }
+
+    #[test]
+    fn retarget_without_edits_equals_analyze_at_the_new_constraint() {
+        let lib = lib();
+        let (net, _) = chain(&lib, 5);
+        let mut t = Timing::analyze(&net, &lib, 0.0);
+        let tmin = t.critical_delay_ns(&net);
+        t.retarget(&net, &lib, tmin, &[]);
+        assert_eq!(t.tspec_ns(), tmin);
+        assert_bits_match_fresh(&t, &net, &lib);
+    }
+
+    #[test]
+    fn converter_on_the_worst_output_moves_the_po_slack() {
+        // the converter takes over the only path to the worst output, so
+        // the PO-driver list must swap the driver for the converter
+        let lib = lib();
+        let inv = lib.find("INV").unwrap();
+        let mut net = Network::new("po");
+        let a = net.add_input("a");
+        let fast = net.add_gate("fast", inv, &[a]);
+        let g1 = net.add_gate("g1", inv, &[a]);
+        let drv = net.add_gate("drv", inv, &[g1]);
+        net.add_output("f", fast);
+        net.add_output("y", drv);
+        let mut t = Timing::analyze(&net, &lib, 10.0);
+        let before = t.worst_po_slack();
+        let conv = net
+            .insert_converter(drv, &[], true, lib.converter())
+            .unwrap();
+        t.apply_converter_insertion(&net, &lib, conv);
+        assert!(t.worst_po_slack() < before, "converter adds delay");
+        assert_matches_fresh(&t, &net, &lib);
+        net.remove_converter(conv).unwrap();
+        t.apply_converter_removal(&net, &lib, conv, drv);
+        assert_eq!(t.worst_po_slack().to_bits(), before.to_bits());
         assert_matches_fresh(&t, &net, &lib);
     }
 

@@ -4,6 +4,7 @@ use dvs_celllib::{compass, Library, VoltagePair};
 use dvs_netlist::{Network, NodeId, Rail, SizeIx};
 use dvs_sta::{k_worst_paths, load_pf, po_sink_counts, Timing};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn lib() -> Library {
     compass::compass_library(VoltagePair::default())
@@ -57,8 +58,111 @@ fn brute_arrival(net: &Network, id: NodeId, delays: &[f64]) -> f64 {
     base + delays[id.index()]
 }
 
+/// Asserts every per-node value and both PO aggregates of `t` equal a
+/// fresh analysis at `t`'s constraint bit for bit.
+fn assert_bits_match_fresh(t: &Timing, net: &Network, lib: &Library) -> Result<(), TestCaseError> {
+    let fresh = Timing::analyze(net, lib, t.tspec_ns());
+    for id in net.node_ids() {
+        prop_assert_eq!(
+            t.arrival_ns(id).to_bits(),
+            fresh.arrival_ns(id).to_bits(),
+            "arrival {}",
+            id
+        );
+        prop_assert_eq!(
+            t.required_ns(id).to_bits(),
+            fresh.required_ns(id).to_bits(),
+            "required {}",
+            id
+        );
+        prop_assert_eq!(
+            t.load_pf(id).to_bits(),
+            fresh.load_pf(id).to_bits(),
+            "load {}",
+            id
+        );
+        prop_assert_eq!(
+            t.delay_ns(id).to_bits(),
+            fresh.delay_ns(id).to_bits(),
+            "delay {}",
+            id
+        );
+    }
+    prop_assert_eq!(
+        t.worst_po_slack().to_bits(),
+        fresh.worst_po_slack().to_bits()
+    );
+    prop_assert_eq!(
+        t.critical_delay_ns(net).to_bits(),
+        fresh.critical_delay_ns(net).to_bits()
+    );
+    Ok(())
+}
+
+/// Flips `g`'s rail or steps its size (wrapping at the largest drive).
+fn edit_gate(net: &mut Network, lib: &Library, g: NodeId, rail: bool) {
+    if rail {
+        let new = if net.node(g).rail() == Rail::High {
+            Rail::Low
+        } else {
+            Rail::High
+        };
+        net.set_rail(g, new);
+    } else {
+        let sizes = lib.cell(net.node(g).cell()).sizes().len();
+        let next = (net.node(g).size().index() + 1) % sizes;
+        net.set_size(g, SizeIx(next as u8));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The TILOS loop's usage pattern: gate edits absorbed incrementally,
+    /// some kept and some undone again (each undo through its own
+    /// incremental update), then a re-anchor at a new constraint naming
+    /// only the kept gates — which must equal a fresh analysis exactly.
+    #[test]
+    fn retarget_is_bit_identical_to_analyze(
+        net in network_strategy(),
+        ops in proptest::collection::vec(
+            (any::<u32>(), any::<bool>(), 0u8..4, 0.05f64..12.0),
+            1..16,
+        ),
+    ) {
+        let lib = lib();
+        let mut net = net;
+        let gates: Vec<NodeId> = net.gate_ids().collect();
+        prop_assume!(!gates.is_empty());
+        let mut t = Timing::analyze(&net, &lib, 8.0);
+        let mut changed = Vec::new();
+        for (pick, rail, mode, tspec) in ops {
+            let g = gates[pick as usize % gates.len()];
+            edit_gate(&mut net, &lib, g, rail);
+            t.apply_gate_change(&net, &lib, g);
+            if mode == 0 {
+                // a rejected trial: undo the edit through the same path
+                if rail {
+                    edit_gate(&mut net, &lib, g, true);
+                } else {
+                    let sizes = lib.cell(net.node(g).cell()).sizes().len();
+                    let prev = (net.node(g).size().index() + sizes - 1) % sizes;
+                    net.set_size(g, SizeIx(prev as u8));
+                }
+                t.apply_gate_change(&net, &lib, g);
+            } else {
+                changed.push(g);
+            }
+            // re-anchor after most edits; let some edits accumulate
+            if mode != 3 {
+                t.retarget(&net, &lib, tspec, &changed);
+                changed.clear();
+                assert_bits_match_fresh(&t, &net, &lib)?;
+            }
+        }
+        t.retarget(&net, &lib, 5.0, &changed);
+        assert_bits_match_fresh(&t, &net, &lib)?;
+    }
 
     #[test]
     fn arrival_equals_longest_path(net in network_strategy()) {

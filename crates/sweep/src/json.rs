@@ -189,18 +189,22 @@ pub fn validate(text: &str) -> Result<(), String> {
 /// [`Json::UInt`] / [`Json::Int`]; everything else numeric becomes
 /// [`Json::Num`]. Returns the byte offset and reason of the first error.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let b = text.as_bytes();
-    let mut p = Parser { b, at: 0 };
+    let mut p = Parser {
+        text,
+        b: text.as_bytes(),
+        at: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.at != b.len() {
+    if p.at != text.len() {
         return Err(format!("trailing garbage at byte {}", p.at));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
+    text: &'a str,
     b: &'a [u8],
     at: usize,
 }
@@ -366,13 +370,14 @@ impl Parser<'_> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character")),
                 Some(_) => {
-                    // copy one whole UTF-8 scalar (input is &str, so valid)
-                    let rest = &self.b[self.at..];
-                    let len = std::str::from_utf8(rest)
-                        .map(|t| t.chars().next().map_or(1, char::len_utf8))
-                        .unwrap_or(1);
-                    s.push_str(std::str::from_utf8(&rest[..len]).unwrap());
-                    self.at += len;
+                    // copy the whole run up to the next quote, escape or
+                    // control byte: all three are ASCII, so the run ends on
+                    // a char boundary of the (valid UTF-8) input
+                    let start = self.at;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.at += 1;
+                    }
+                    s.push_str(&self.text[start..self.at]);
                 }
             }
         }
@@ -519,6 +524,33 @@ mod tests {
         assert_eq!(parse("1e2").unwrap(), Json::Num(100.0));
         assert_eq!(parse("-7").unwrap(), Json::Int(-7));
         assert!(parse("\"\\ud83d x\"").is_err(), "lone surrogate accepted");
+    }
+
+    #[test]
+    fn strings_of_every_utf8_width_round_trip() {
+        // 1-, 2-, 3- and 4-byte scalars, runs broken by escapes and control
+        // characters, and escapes at both ends of the string
+        for text in [
+            "",
+            "plain ascii",
+            "é",
+            "€ and ✓",
+            "😀",
+            "a\u{e9}b\u{20ac}c\u{1f600}d",
+            "\"😀\"",
+            "\\é\n€\t😀\u{1}",
+            "mixed: x=é,y=€;z=😀/\u{7f}\u{8}\u{c}\r",
+        ] {
+            let doc = Json::Arr(vec![Json::Str(text.into())]);
+            let rendered = doc.render();
+            assert_eq!(parse(&rendered).as_ref(), Ok(&doc), "{rendered}");
+            validate(&rendered).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+        }
+        // raw (unescaped) multi-byte input parses to the same scalars
+        assert_eq!(
+            parse("\"é€😀\"").unwrap(),
+            Json::Str("\u{e9}\u{20ac}\u{1f600}".into())
+        );
     }
 
     #[test]

@@ -25,50 +25,125 @@ pub struct Prepared {
 ///
 /// This stands in for the paper's `map -n1 -AFG` with zero required time
 /// ("minimum delay circuit without regard to the area").
+///
+/// # Passes
+///
+/// Each pass anchors required times at the current best delay, so slack
+/// measures criticality (≤ 1e-9 ns on the worst paths), and tries one
+/// up-sizing step on every gate of that *zero-slack frontier*, most
+/// critical first, keeping a step only when the block delay drops by more
+/// than 1e-9 ns. A kept step leaves every path to a primary output more
+/// than 1e-9 ns inside the pass anchor, so when every gate reaches an
+/// output, a pass keeps at most one step and the number of passes is the
+/// number of kept steps plus one. Gates that drive nothing are bounded by
+/// the anchor alone: they and their fanin cones can stay on the frontier
+/// after a kept step, or arrive on it, so such networks may keep several
+/// steps in a pass (a few of `dalu` and `alu4` at scale 10 do). Gates that
+/// arrive on the frontier mid-pass are tried in pass-entry slack order,
+/// exactly as a scan of all gates sorted by entry slack would try them.
+///
+/// One [`Timing`] serves the whole call: [`Timing::analyze`] runs once,
+/// trials update it incrementally (a rejected step is restored exactly),
+/// and each new pass re-anchors it with [`Timing::retarget`], whose result
+/// is bit-identical to a fresh analysis at the new anchor. A pass costs
+/// two linear timing sweeps, one linear slack scan and a sort of the
+/// frontier alone, and makes the same trials in the same order as
+/// re-analysing and sorting every gate would.
 pub fn size_for_min_delay(net: &mut Network, lib: &Library) -> f64 {
-    let mut best = Timing::analyze(net, lib, 0.0).critical_delay_ns(net);
+    let mut timing = Timing::analyze(net, lib, 0.0);
+    let mut best = timing.critical_delay_ns(net);
+    timing.retarget(net, lib, best, &[]);
+    // per-pass buffers, reused across passes
+    let mut entry_slack = vec![0.0; net.node_count()];
+    let mut order: Vec<NodeId> = Vec::new();
+    let mut kept: Vec<NodeId> = Vec::new();
     loop {
-        // Re-anchor required times at the current best delay so that slack
-        // measures criticality (0 on the worst paths).
-        let mut timing = Timing::analyze(net, lib, best);
-        let mut improved = false;
-        // Visit gates from most to least critical so cheap wins land first.
-        let mut gates: Vec<NodeId> = net.gate_ids().collect();
-        gates.sort_by(|&a, &b| {
-            timing
-                .slack_ns(a)
-                .partial_cmp(&timing.slack_ns(b))
-                .expect("finite slacks")
-        });
-        for g in gates {
-            let node = net.node(g);
-            let cell = lib.cell(node.cell());
-            let cur = node.size();
-            if cur.index() + 1 >= cell.sizes().len() {
-                continue;
-            }
-            // Only gates near the critical path can shrink block delay
-            // (slack is measured against the pass-entry delay, which is
-            // slightly stale within the pass — the exact accept check
-            // below keeps this sound).
-            if timing.slack_ns(g) > 1e-9 {
-                continue;
-            }
-            let next = SizeIx(cur.0 + 1);
-            net.set_size(g, next);
-            timing.apply_gate_change(net, lib, g);
-            let new_delay = timing.critical_delay_ns(net);
-            if new_delay < best - 1e-9 {
-                best = new_delay;
-                improved = true;
-            } else {
-                net.set_size(g, cur);
-                timing.apply_gate_change(net, lib, g);
+        order.clear();
+        kept.clear();
+        for g in net.gate_ids() {
+            let slack = timing.slack_ns(g);
+            entry_slack[g.index()] = slack;
+            if slack <= 1e-9 && !at_max_size(net, lib, g) {
+                order.push(g);
             }
         }
-        if !improved {
+        // every frontier gate sorts before every other gate, so this is the
+        // frontier's stretch of a stable sort of all gates
+        order.sort_by(|&a, &b| by_slack(&entry_slack, a, b));
+        for &g in &order {
+            if try_upsize(net, lib, &mut timing, g, &mut best) {
+                kept.push(g);
+            }
+        }
+        if kept.is_empty() {
             return best;
         }
+        // After a kept step, gates off the entry frontier whose slack has
+        // dropped to zero are tried in entry-slack order. Rejected trials
+        // restore timing exactly, so their slacks can be read up front.
+        order.clear();
+        order.extend(net.gate_ids().filter(|&g| {
+            entry_slack[g.index()] > 1e-9 && timing.slack_ns(g) <= 1e-9 && !at_max_size(net, lib, g)
+        }));
+        order.sort_by(|&a, &b| by_slack(&entry_slack, a, b));
+        if let Some(k) = order
+            .iter()
+            .position(|&g| try_upsize(net, lib, &mut timing, g, &mut best))
+        {
+            // A kept step here moves slacks mid-scan: finish the pass over
+            // every remaining gate in entry-slack order, re-reading slacks.
+            let g = order[k];
+            kept.push(g);
+            order.clear();
+            order.extend(net.gate_ids());
+            order.sort_by(|&a, &b| by_slack(&entry_slack, a, b));
+            let at = order.iter().position(|&x| x == g).expect("live gate");
+            for &h in &order[at + 1..] {
+                if try_upsize(net, lib, &mut timing, h, &mut best) {
+                    kept.push(h);
+                }
+            }
+        }
+        timing.retarget(net, lib, best, &kept);
+    }
+}
+
+fn at_max_size(net: &Network, lib: &Library, g: NodeId) -> bool {
+    let node = net.node(g);
+    node.size().index() + 1 >= lib.cell(node.cell()).sizes().len()
+}
+
+fn by_slack(slack: &[f64], a: NodeId, b: NodeId) -> std::cmp::Ordering {
+    slack[a.index()]
+        .partial_cmp(&slack[b.index()])
+        .expect("finite slacks")
+}
+
+/// One TILOS trial: if `g` can grow and still has zero slack, up-size it one
+/// step and keep the step when the block delay drops below `best` by more
+/// than 1e-9 ns (updating `best`); otherwise restore `g`, which returns
+/// `timing` to its exact previous values. Returns whether the step was kept.
+fn try_upsize(
+    net: &mut Network,
+    lib: &Library,
+    timing: &mut Timing,
+    g: NodeId,
+    best: &mut f64,
+) -> bool {
+    if at_max_size(net, lib, g) || timing.slack_ns(g) > 1e-9 {
+        return false;
+    }
+    let cur = net.node(g).size();
+    net.set_size(g, SizeIx(cur.0 + 1));
+    timing.apply_gate_change(net, lib, g);
+    let new_delay = timing.critical_delay_ns(net);
+    if new_delay < *best - 1e-9 {
+        *best = new_delay;
+        true
+    } else {
+        net.set_size(g, cur);
+        timing.apply_gate_change(net, lib, g);
+        false
     }
 }
 
