@@ -45,10 +45,11 @@ pub struct Prepared {
 /// One [`Timing`] serves the whole call: [`Timing::analyze`] runs once,
 /// trials update it incrementally (a rejected step is restored exactly),
 /// and each new pass re-anchors it with [`Timing::retarget`], whose result
-/// is bit-identical to a fresh analysis at the new anchor. A pass costs
-/// two linear timing sweeps, one linear slack scan and a sort of the
-/// frontier alone, and makes the same trials in the same order as
-/// re-analysing and sorting every gate would.
+/// is bit-identical to a fresh analysis at the new anchor. Besides its
+/// trials, a pass costs two linear timing sweeps, two linear slack scans
+/// and sorts of the frontier and of the (usually empty) late arrivals, and
+/// it makes the same trials in the same order as re-analysing and sorting
+/// every gate would.
 pub fn size_for_min_delay(net: &mut Network, lib: &Library) -> f64 {
     let mut timing = Timing::analyze(net, lib, 0.0);
     let mut best = timing.critical_delay_ns(net);
@@ -68,8 +69,8 @@ pub fn size_for_min_delay(net: &mut Network, lib: &Library) -> f64 {
             }
         }
         // every frontier gate sorts before every other gate, so this is the
-        // frontier's stretch of a stable sort of all gates
-        order.sort_by(|&a, &b| by_slack(&entry_slack, a, b));
+        // frontier's stretch of the entry order of all gates
+        order.sort_unstable_by(|&a, &b| entry_order(&entry_slack, a, b));
         for &g in &order {
             if try_upsize(net, lib, &mut timing, g, &mut best) {
                 kept.push(g);
@@ -79,30 +80,27 @@ pub fn size_for_min_delay(net: &mut Network, lib: &Library) -> f64 {
             return best;
         }
         // After a kept step, gates off the entry frontier whose slack has
-        // dropped to zero are tried in entry-slack order. Rejected trials
-        // restore timing exactly, so their slacks can be read up front.
-        order.clear();
-        order.extend(net.gate_ids().filter(|&g| {
-            entry_slack[g.index()] > 1e-9 && timing.slack_ns(g) <= 1e-9 && !at_max_size(net, lib, g)
-        }));
-        order.sort_by(|&a, &b| by_slack(&entry_slack, a, b));
-        if let Some(k) = order
-            .iter()
-            .position(|&g| try_upsize(net, lib, &mut timing, g, &mut best))
-        {
-            // A kept step here moves slacks mid-scan: finish the pass over
-            // every remaining gate in entry-slack order, re-reading slacks.
-            let g = order[k];
-            kept.push(g);
+        // dropped to zero are tried in entry order. A rejected trial
+        // restores timing exactly, so their slacks can be read up front; a
+        // kept one moves them, so collect again from the gates after it.
+        let mut last = None;
+        loop {
             order.clear();
-            order.extend(net.gate_ids());
-            order.sort_by(|&a, &b| by_slack(&entry_slack, a, b));
-            let at = order.iter().position(|&x| x == g).expect("live gate");
-            for &h in &order[at + 1..] {
-                if try_upsize(net, lib, &mut timing, h, &mut best) {
-                    kept.push(h);
-                }
-            }
+            order.extend(net.gate_ids().filter(|&g| {
+                entry_slack[g.index()] > 1e-9
+                    && last.is_none_or(|l| entry_order(&entry_slack, l, g).is_lt())
+                    && timing.slack_ns(g) <= 1e-9
+                    && !at_max_size(net, lib, g)
+            }));
+            order.sort_unstable_by(|&a, &b| entry_order(&entry_slack, a, b));
+            let Some(k) = order
+                .iter()
+                .position(|&g| try_upsize(net, lib, &mut timing, g, &mut best))
+            else {
+                break;
+            };
+            kept.push(order[k]);
+            last = Some(order[k]);
         }
         timing.retarget(net, lib, best, &kept);
     }
@@ -113,10 +111,13 @@ fn at_max_size(net: &Network, lib: &Library, g: NodeId) -> bool {
     node.size().index() + 1 >= lib.cell(node.cell()).sizes().len()
 }
 
-fn by_slack(slack: &[f64], a: NodeId, b: NodeId) -> std::cmp::Ordering {
+/// The entry order of a pass: by pass-entry slack, ties by gate index —
+/// the order a stable sort of [`Network::gate_ids`] by slack gives.
+fn entry_order(slack: &[f64], a: NodeId, b: NodeId) -> std::cmp::Ordering {
     slack[a.index()]
         .partial_cmp(&slack[b.index()])
         .expect("finite slacks")
+        .then(a.cmp(&b))
 }
 
 /// One TILOS trial: if `g` can grow and still has zero slack, up-size it one

@@ -174,13 +174,14 @@ fn frontier_sizing_matches_the_per_pass_oracle_on_salted_profiles() {
 
 /// Recorded random networks on which a gate off the pass-entry frontier
 /// reaches zero slack after a kept step and its own step is kept too, so
-/// the pass falls back to a slack-ordered scan of every remaining gate. On
-/// the second, a gate outside the first late candidates then reaches zero
-/// slack as well and is tried only by that scan.
+/// the pass collects the late candidates again. On the second, a gate
+/// outside the first late candidates then reaches zero slack; on the
+/// third, a gate ahead of the kept one in entry order has zero slack after
+/// it, and the pass must not go back to it.
 #[rustfmt::skip]
 #[test]
 fn frontier_sizing_matches_the_oracle_after_a_step_kept_off_the_frontier() {
-    let cases: [Recipe; 2] = [
+    let cases: [Recipe; 3] = [
         (5, &[
             (3731819094, 1), (1061205547, 4), (4241309740, 2), (2910829898, 2),
             (2122925064, 0), (51927571, 3), (3737458768, 2), (4284886700, 4),
@@ -204,6 +205,14 @@ fn frontier_sizing_matches_the_oracle_after_a_step_kept_off_the_frontier() {
             (4040438611, 1), (3509214385, 0), (481395469, 0), (1926497347, 0),
             (3649711913, 0),
         ], 4),
+        (5, &[
+            (2073647158, 2), (1125446538, 1), (2695799490, 1), (4123359053, 3),
+            (4169078256, 0), (3482811663, 4), (1852717983, 0), (561455131, 4),
+            (1592984078, 2), (2731542028, 2), (2304845317, 2), (2393764685, 1),
+            (2490762436, 4), (351465094, 1), (2539600707, 3), (3759438165, 4),
+            (1188251259, 1), (2092955105, 3), (1314148903, 4), (290722887, 0),
+            (2052718264, 2), (3814859147, 2),
+        ], 3),
     ];
     for (inputs, gates, outputs) in cases {
         assert_matches_oracle(&build(inputs, gates, outputs), &lib(), "late step");
