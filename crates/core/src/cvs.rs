@@ -72,7 +72,7 @@ pub(crate) fn cvs_counted(
             counters.sta_events += events;
             // this path bypasses the session's set_rail, so it must emit
             // its own attribution (sta.events rides the apply fn itself)
-            dvs_obs::attr_add("session.edits", || net.node(g).name().to_string(), 1);
+            dvs_obs::attr_add("session.edits", || net.node(g).name(), 1);
             lowered.push(g);
         }
     }

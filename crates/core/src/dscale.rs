@@ -199,7 +199,7 @@ pub fn dscale_session(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> DscaleOut
             // therefore byte-identical across worker counts
             dvs_obs::attr_add(
                 "dscale.power_saved_nw",
-                || sess.network().node(g).name().to_string(),
+                || sess.network().node(g).name(),
                 (gain_uw * 1e3).round() as u64,
             );
             sess.set_rail(g, Rail::Low);

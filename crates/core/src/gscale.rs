@@ -195,8 +195,7 @@ pub fn gscale_session(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> GscaleOut
                 .iter()
                 .min_by(|a, b| {
                     (timing.required_ns(a.1) - timing.arrival_ns(a.1))
-                        .partial_cmp(&(timing.required_ns(b.1) - timing.arrival_ns(b.1)))
-                        .expect("finite slack")
+                        .total_cmp(&(timing.required_ns(b.1) - timing.arrival_ns(b.1)))
                 })
                 .cloned()
                 .expect("network has outputs");
@@ -205,12 +204,11 @@ pub fn gscale_session(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> GscaleOut
             loop {
                 path.push(at);
                 on_path[at.index()] = true;
-                match net.fanins(at).iter().max_by(|a, b| {
-                    timing
-                        .arrival_ns(**a)
-                        .partial_cmp(&timing.arrival_ns(**b))
-                        .expect("finite arrivals")
-                }) {
+                match net
+                    .fanins(at)
+                    .iter()
+                    .max_by(|a, b| timing.arrival_ns(**a).total_cmp(&timing.arrival_ns(**b)))
+                {
                     Some(&f) => at = f,
                     None => break,
                 }

@@ -240,7 +240,7 @@ impl<'l> FlowSession<'l> {
             p.note(PowerDelta::Rail(g));
         }
         self.counters.rail_edits += 1;
-        dvs_obs::attr_add("session.edits", || self.net.node(g).name().to_string(), 1);
+        dvs_obs::attr_add("session.edits", || self.net.node(g).name(), 1);
         let events = self.timing.apply_gate_change(&self.net, self.lib, g);
         self.counters.sta_events += events as u64;
         events
@@ -254,7 +254,7 @@ impl<'l> FlowSession<'l> {
             p.note(PowerDelta::SetSize(g));
         }
         self.counters.size_edits += 1;
-        dvs_obs::attr_add("session.edits", || self.net.node(g).name().to_string(), 1);
+        dvs_obs::attr_add("session.edits", || self.net.node(g).name(), 1);
         let events = self.timing.apply_gate_change(&self.net, self.lib, g);
         self.counters.sta_events += events as u64;
         events
@@ -281,11 +281,7 @@ impl<'l> FlowSession<'l> {
             p.note(PowerDelta::ConverterInserted { conv, driver });
         }
         self.counters.converters_inserted += 1;
-        dvs_obs::attr_add(
-            "session.edits",
-            || self.net.node(driver).name().to_string(),
-            1,
-        );
+        dvs_obs::attr_add("session.edits", || self.net.node(driver).name(), 1);
         let events = self
             .timing
             .apply_converter_insertion(&self.net, self.lib, conv);
@@ -319,11 +315,7 @@ impl<'l> FlowSession<'l> {
             });
         }
         self.counters.converters_removed += 1;
-        dvs_obs::attr_add(
-            "session.edits",
-            || self.net.node(driver).name().to_string(),
-            1,
-        );
+        dvs_obs::attr_add("session.edits", || self.net.node(driver).name(), 1);
         let events = self
             .timing
             .apply_converter_removal(&self.net, self.lib, conv, driver);
@@ -394,7 +386,7 @@ impl<'l> FlowSession<'l> {
             self.note_parallel(stats.cone_nodes as u64, stats.levels as u64);
             dvs_obs::attr_add(
                 "power.cone_nodes",
-                || self.net.name().to_string(),
+                || self.net.name(),
                 stats.cone_nodes as u64,
             );
         }

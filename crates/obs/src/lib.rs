@@ -374,14 +374,24 @@ pub fn hist_record(name: &'static str, value: u64) {
 /// site name is lazily built: `site` only runs when a subscriber is
 /// installed, so the disabled path stays allocation-free. No-op without a
 /// subscriber.
+///
+/// `site` returns anything string-like: a borrowed name
+/// (`|| net.node(g).name()`) costs nothing to produce, and the
+/// [`Recorder`] then copies it only on the site's first record in a
+/// window, so attributing to an already-seen site allocates nothing.
+/// Owned names (`|| format!(…)`) work too.
 #[inline]
-pub fn attr_add<F: FnOnce() -> String>(domain: &'static str, site: F, value: u64) {
+pub fn attr_add<F, S>(domain: &'static str, site: F, value: u64)
+where
+    F: FnOnce() -> S,
+    S: AsRef<str>,
+{
     if !ENABLED.load(Ordering::Relaxed) {
         return;
     }
     let (tid, seq) = next_seq();
     let site = site();
-    with_subscriber(|sub| sub.attribution(tid, seq, domain, &site, value));
+    with_subscriber(|sub| sub.attribution(tid, seq, domain, site.as_ref(), value));
 }
 
 /// Fires an instant event with a lazily-rendered text. `text` only runs

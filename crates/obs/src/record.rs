@@ -125,35 +125,6 @@ impl Hist {
         }
     }
 
-    /// Field-wise difference against an earlier snapshot of the *same*
-    /// histogram. Counts, sums and buckets are monotone, so those diffs
-    /// are exact; `min`/`max` are the bucket lower bounds of the extremal
-    /// buckets the window touched — always, even when the exact extremes
-    /// happen to be recoverable. Using the exact values only when the
-    /// window moved them would make a window's rollup depend on what the
-    /// same thread recorded *before* the window (fresh thread → exact,
-    /// reused pool worker → bucket bound), breaking the rollup
-    /// determinism contract across worker counts.
-    #[must_use]
-    pub fn since(&self, earlier: &Hist) -> Hist {
-        let mut buckets = [0u64; HIST_BUCKETS];
-        for (i, b) in buckets.iter_mut().enumerate() {
-            *b = self.buckets[i] - earlier.buckets[i];
-        }
-        let min = buckets
-            .iter()
-            .position(|&c| c > 0)
-            .map_or(u64::MAX, bucket_lo);
-        let max = buckets.iter().rposition(|&c| c > 0).map_or(0, bucket_lo);
-        Hist {
-            count: self.count - earlier.count,
-            sum: self.sum.saturating_sub(earlier.sum),
-            min,
-            max,
-            buckets,
-        }
-    }
-
     /// `(bucket index, count)` pairs for the non-empty buckets.
     #[must_use]
     pub fn sparse(&self) -> Vec<(usize, u64)> {
@@ -227,25 +198,5 @@ mod tests {
         assert_eq!(a.max, 100);
         assert_eq!(a.buckets[bucket_of(3)], 2);
         assert_eq!(a.buckets[0], 1);
-    }
-
-    #[test]
-    fn since_diffs_windows() {
-        let mut h = Hist::default();
-        h.record(5);
-        let mark = h.clone();
-        h.record(9);
-        h.record(1000);
-        let d = h.since(&mark);
-        assert_eq!(d.count, 2);
-        assert_eq!(d.sum, 1009);
-        assert_eq!(d.buckets[bucket_of(9)], 1);
-        assert_eq!(d.buckets[bucket_of(1000)], 1);
-        assert_eq!(d.buckets[bucket_of(5)], 0);
-        // empty window
-        let e = h.since(&h.clone());
-        assert_eq!(e.count, 0);
-        assert_eq!(e.min, u64::MAX);
-        assert_eq!(e.max, 0);
     }
 }

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, RwLock};
 
 use crate::attr::AttrRollup;
-use crate::record::{Hist, InstantRecord, SpanRecord};
+use crate::record::{bucket_lo, Hist, InstantRecord, SpanRecord};
 use crate::Subscriber;
 
 /// Per-domain attribution table: `site → (record count, value sum)`.
@@ -35,13 +35,45 @@ struct ThreadSink {
 struct SinkData {
     spans: Vec<SpanRecord>,
     instants: Vec<InstantRecord>,
+    /// Aggregates recorded since the thread's last [`Recorder::mark`] —
+    /// exactly what the open window's rollup reports.
+    window: Aggs,
+    /// Aggregates of every earlier window.
+    total: Aggs,
+    /// Bumped by each [`Recorder::mark`]; identifies the open window.
+    window_id: u64,
+    label: Option<String>,
+}
+
+/// One thread's metric aggregates over some stretch of its stream.
+#[derive(Default)]
+struct Aggs {
     counters: BTreeMap<&'static str, u64>,
-    /// value and number of sets, so windowed rollups can tell "set again
-    /// to the same value" from "not touched".
-    gauges: BTreeMap<&'static str, (f64, u64)>,
+    gauges: BTreeMap<&'static str, f64>,
     hists: BTreeMap<&'static str, Hist>,
     attrs: BTreeMap<&'static str, AttrTable>,
-    label: Option<String>,
+}
+
+impl Aggs {
+    /// Folds a later stretch's aggregates into this one: counts and sums
+    /// add, gauges keep the later value. O(`later`).
+    fn absorb(&mut self, later: Aggs) {
+        for (name, delta) in later.counters {
+            *self.counters.entry(name).or_insert(0) += delta;
+        }
+        self.gauges.extend(later.gauges);
+        for (name, hist) in later.hists {
+            self.hists.entry(name).or_default().merge(&hist);
+        }
+        for (domain, table) in later.attrs {
+            let merged = self.attrs.entry(domain).or_default();
+            for (site, (count, sum)) in table {
+                let cell = merged.entry(site).or_insert((0, 0));
+                cell.0 += count;
+                cell.1 = cell.1.saturating_add(sum);
+            }
+        }
+    }
 }
 
 impl Recorder {
@@ -59,37 +91,55 @@ impl Recorder {
         Arc::clone(sinks.entry(tid).or_default())
     }
 
-    /// Snapshots the calling thread's sink so a later
+    /// Opens a window on the calling thread so a later
     /// [`Recorder::rollup_since`] can report only what this thread
-    /// recorded in between. Cheap relative to a scenario: clones the
-    /// aggregate maps, not the raw span/instant buffers.
+    /// recorded in between.
+    ///
+    /// Costs O(previous window): the aggregates recorded since the
+    /// thread's last mark are folded into its running totals and the new
+    /// window starts empty. No map is cloned, so a window's cost never
+    /// grows with what the thread recorded before it.
+    ///
+    /// Each thread has **one open window at a time**: marking again
+    /// supersedes the earlier mark, and [`Recorder::rollup_since`] on the
+    /// superseded mark panics. Windows therefore cannot nest on one
+    /// thread; run the inner work on its own thread instead.
     #[must_use]
     pub fn mark(&self) -> ObsMark {
         let tid = crate::current_tid();
         let sink = self.sink(tid);
-        let data = sink.data.lock().expect("recorder poisoned");
+        let mut data = sink.data.lock().expect("recorder poisoned");
+        let window = std::mem::take(&mut data.window);
+        data.total.absorb(window);
+        data.window_id += 1;
         ObsMark {
             tid,
             spans_len: data.spans.len(),
-            counters: data.counters.clone(),
-            gauges: data.gauges.clone(),
-            hists: data.hists.clone(),
-            attrs: data.attrs.clone(),
+            window_id: data.window_id,
         }
     }
 
     /// Aggregates everything the marked thread recorded since `mark` into
     /// a value-deterministic [`Rollup`]: same records in → same rollup
     /// out, independent of worker count or interleaving, because the
-    /// window only ever sees one thread's stream.
+    /// window only ever sees one thread's stream. Costs O(window).
     ///
     /// Spans still open at the call (e.g. the scenario span the window
     /// lives inside) have not been recorded yet and are excluded.
+    ///
+    /// # Panics
+    ///
+    /// If the thread has been marked again since `mark` (one open window
+    /// per thread; see [`Recorder::mark`]).
     #[must_use]
     pub fn rollup_since(&self, mark: &ObsMark) -> Rollup {
         let sink = self.sink(mark.tid);
         let data = sink.data.lock().expect("recorder poisoned");
-        let window = &data.spans[mark.spans_len.min(data.spans.len())..];
+        assert!(
+            mark.window_id == data.window_id,
+            "rollup_since on a superseded mark: one open window per thread"
+        );
+        let window = &data.spans[mark.spans_len..];
         let self_ns = self_durations(window);
         let mut spans: BTreeMap<&'static str, SpanRollup> = BTreeMap::new();
         for (span, self_ns) in window.iter().zip(self_ns) {
@@ -102,105 +152,63 @@ impl Recorder {
             agg.self_ns = agg.self_ns.saturating_add(self_ns);
             agg.cpu_ns = agg.cpu_ns.saturating_add(span.cpu_ns);
         }
-        let counters = data
-            .counters
-            .iter()
-            .filter_map(|(&name, &now)| {
-                let delta = now - mark.counters.get(name).copied().unwrap_or(0);
-                (delta > 0).then(|| (name.to_string(), delta))
-            })
-            .collect();
-        let gauges = data
-            .gauges
-            .iter()
-            .filter_map(|(&name, &(value, sets))| {
-                let earlier_sets = mark.gauges.get(name).map_or(0, |&(_, s)| s);
-                (sets > earlier_sets).then(|| (name.to_string(), value))
-            })
-            .collect();
-        let hists = data
-            .hists
-            .iter()
-            .filter_map(|(&name, hist)| {
-                // always diff (against an empty hist when the mark has no
-                // entry) so min/max come from since()'s bucket bounds on
-                // both paths — a window's rollup must not depend on what
-                // the thread recorded before the mark
-                let window = match mark.hists.get(name) {
-                    Some(earlier) => hist.since(earlier),
-                    None => hist.since(&Hist::default()),
-                };
-                (window.count > 0).then(|| HistRollup::from_hist(name, &window))
-            })
-            .collect();
-        let attrs = data
-            .attrs
-            .iter()
-            .filter_map(|(&domain, table)| {
-                // counts and sums are monotone, so per-site subtraction
-                // against the mark's snapshot is an exact window
-                let earlier = mark.attrs.get(domain);
-                let window: AttrTable = table
-                    .iter()
-                    .filter_map(|(site, &(count, sum))| {
-                        let (c0, s0) = earlier.and_then(|t| t.get(site)).copied().unwrap_or((0, 0));
-                        let dc = count - c0;
-                        (dc > 0).then(|| (site.clone(), (dc, sum - s0)))
-                    })
-                    .collect();
-                (!window.is_empty()).then(|| AttrRollup::from_table(domain, &window))
-            })
-            .collect();
+        let aggs = &data.window;
         Rollup {
             spans: spans.into_values().collect(),
-            counters,
-            gauges,
-            hists,
-            attrs,
+            counters: aggs
+                .counters
+                .iter()
+                .filter(|&(_, &delta)| delta > 0)
+                .map(|(&name, &delta)| (name.to_string(), delta))
+                .collect(),
+            gauges: aggs
+                .gauges
+                .iter()
+                .map(|(&name, &value)| (name.to_string(), value))
+                .collect(),
+            hists: aggs
+                .hists
+                .iter()
+                .map(|(&name, hist)| HistRollup::from_window(name, hist))
+                .collect(),
+            attrs: aggs
+                .attrs
+                .iter()
+                .map(|(&domain, table)| AttrRollup::from_table(domain, table))
+                .collect(),
         }
     }
 
     /// Takes every buffered record, leaving the recorder empty. Threads
     /// are merged in observability-tid order (their registration order)
     /// with each thread's records in their original sequence order, so
-    /// the layout is deterministic for any interleaving.
+    /// the layout is deterministic for any interleaving. Costs O(what was
+    /// recorded).
     ///
     /// Uninstall the recorder ([`crate::set_subscriber`]`(None)`) first;
     /// records arriving during the drain land in whichever side of the
-    /// split the writer's registry lookup wins.
+    /// split the writer's registry lookup wins. Marks taken before the
+    /// drain are superseded by it.
     #[must_use]
     pub fn drain(&self) -> Trace {
         let sinks = std::mem::take(&mut *self.sinks.write().expect("recorder poisoned"));
         let mut trace = Trace::default();
+        // folded in tid order, so the highest-tid writer of a gauge wins
+        let mut aggs = Aggs::default();
         for (tid, sink) in sinks {
             let mut data = sink.data.lock().expect("recorder poisoned");
             trace.spans.append(&mut data.spans);
             trace.instants.append(&mut data.instants);
-            for (name, delta) in std::mem::take(&mut data.counters) {
-                *trace.counters.entry(name.to_string()).or_insert(0) += delta;
-            }
-            for (name, (value, _)) in std::mem::take(&mut data.gauges) {
-                trace.gauges.insert(name.to_string(), value);
-            }
-            for (name, hist) in std::mem::take(&mut data.hists) {
-                trace
-                    .hists
-                    .entry(name.to_string())
-                    .or_default()
-                    .merge(&hist);
-            }
-            for (domain, table) in std::mem::take(&mut data.attrs) {
-                let merged = trace.attrs.entry(domain.to_string()).or_default();
-                for (site, (count, sum)) in table {
-                    let cell = merged.entry(site).or_insert((0, 0));
-                    cell.0 += count;
-                    cell.1 = cell.1.saturating_add(sum);
-                }
-            }
+            aggs.absorb(std::mem::take(&mut data.total));
+            aggs.absorb(std::mem::take(&mut data.window));
             if let Some(label) = data.label.take() {
                 trace.thread_labels.insert(tid, label);
             }
         }
+        trace.counters = owned_keys(aggs.counters);
+        trace.gauges = owned_keys(aggs.gauges);
+        trace.hists = owned_keys(aggs.hists);
+        trace.attrs = owned_keys(aggs.attrs);
         trace
     }
 }
@@ -214,21 +222,19 @@ impl Subscriber for Recorder {
     fn counter(&self, tid: u32, _seq: u64, name: &'static str, delta: u64) {
         let sink = self.sink(tid);
         let mut data = sink.data.lock().expect("recorder poisoned");
-        *data.counters.entry(name).or_insert(0) += delta;
+        *data.window.counters.entry(name).or_insert(0) += delta;
     }
 
     fn gauge(&self, tid: u32, _seq: u64, name: &'static str, value: f64) {
         let sink = self.sink(tid);
         let mut data = sink.data.lock().expect("recorder poisoned");
-        let entry = data.gauges.entry(name).or_insert((value, 0));
-        entry.0 = value;
-        entry.1 += 1;
+        data.window.gauges.insert(name, value);
     }
 
     fn histogram(&self, tid: u32, _seq: u64, name: &'static str, value: u64) {
         let sink = self.sink(tid);
         let mut data = sink.data.lock().expect("recorder poisoned");
-        data.hists.entry(name).or_default().record(value);
+        data.window.hists.entry(name).or_default().record(value);
     }
 
     fn instant(&self, rec: InstantRecord) {
@@ -248,25 +254,23 @@ impl Subscriber for Recorder {
     fn attribution(&self, tid: u32, _seq: u64, domain: &'static str, site: &str, value: u64) {
         let sink = self.sink(tid);
         let mut data = sink.data.lock().expect("recorder poisoned");
-        let cell = data
-            .attrs
-            .entry(domain)
-            .or_default()
-            .entry(site.to_string())
-            .or_insert((0, 0));
+        let table = data.window.attrs.entry(domain).or_default();
+        // look up before inserting: only a site's first record in the
+        // window allocates its name
+        let cell = match table.get_mut(site) {
+            Some(cell) => cell,
+            None => table.entry(site.to_string()).or_insert((0, 0)),
+        };
         cell.0 += 1;
         cell.1 = cell.1.saturating_add(value);
     }
 }
 
-/// A per-thread snapshot taken by [`Recorder::mark`].
+/// A thread's open window, returned by [`Recorder::mark`].
 pub struct ObsMark {
     tid: u32,
     spans_len: usize,
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, (f64, u64)>,
-    hists: BTreeMap<&'static str, Hist>,
-    attrs: BTreeMap<&'static str, AttrTable>,
+    window_id: u64,
 }
 
 /// Everything one thread recorded inside a mark…rollup window, aggregated
@@ -334,7 +338,8 @@ pub struct HistRollup {
     /// Saturating sum of samples.
     pub sum: u64,
     /// Bucket lower bound of the smallest windowed sample (bucket
-    /// resolution by design; see [`Hist::since`]). 0 when empty.
+    /// resolution by design; see [`HistRollup::from_window`]). 0 when
+    /// empty.
     pub min: u64,
     /// Bucket lower bound of the largest windowed sample.
     pub max: u64,
@@ -343,14 +348,18 @@ pub struct HistRollup {
 }
 
 impl HistRollup {
-    fn from_hist(name: &str, hist: &Hist) -> Self {
+    /// Rolls up one window's histogram. `min`/`max` are the lower bounds
+    /// of the extremal non-empty buckets, not the exact extremes: rollups
+    /// report histograms at bucket resolution throughout.
+    fn from_window(name: &str, hist: &Hist) -> Self {
+        let buckets = hist.sparse();
         HistRollup {
             name: name.to_string(),
             count: hist.count,
             sum: hist.sum,
-            min: if hist.count == 0 { 0 } else { hist.min },
-            max: hist.max,
-            buckets: hist.sparse(),
+            min: buckets.first().map_or(0, |&(b, _)| bucket_lo(b)),
+            max: buckets.last().map_or(0, |&(b, _)| bucket_lo(b)),
+            buckets,
         }
     }
 }
@@ -374,6 +383,10 @@ pub struct Trace {
     pub attrs: BTreeMap<String, BTreeMap<String, (u64, u64)>>,
     /// Thread labels set via [`crate::set_thread_label`], by tid.
     pub thread_labels: BTreeMap<u32, String>,
+}
+
+fn owned_keys<V>(map: BTreeMap<&'static str, V>) -> BTreeMap<String, V> {
+    map.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
 }
 
 /// Self time (duration minus direct children's durations) for each span,
@@ -441,11 +454,11 @@ mod tests {
         let _serial = test_support::serial();
         let rec = Arc::new(Recorder::new());
         set_subscriber(Some(rec.clone()));
-        crate::attr_add("sta.events", || "g1".into(), 10);
+        crate::attr_add("sta.events", || "g1", 10);
         let mark = rec.mark();
-        crate::attr_add("sta.events", || "g1".into(), 7);
-        crate::attr_add("sta.events", || "g2".into(), 90);
-        crate::attr_add("power.saved", || "g1".into(), 5);
+        crate::attr_add("sta.events", || "g1", 7);
+        crate::attr_add("sta.events", || "g2", 90);
+        crate::attr_add("power.saved", || "g1", 5);
         let roll = rec.rollup_since(&mark);
         set_subscriber(None);
 
@@ -470,6 +483,39 @@ mod tests {
         assert_eq!(trace.attrs["sta.events"]["g1"], (2, 17));
         assert_eq!(trace.attrs["sta.events"]["g2"], (1, 90));
         assert_eq!(trace.attrs["power.saved"]["g1"], (1, 5));
+    }
+
+    #[test]
+    fn hist_rollup_min_max_are_bucket_bounds() {
+        let rec = Recorder::new();
+        let tid = crate::current_tid();
+        rec.histogram(tid, 0, "h", 5);
+        let mark = rec.mark();
+        rec.histogram(tid, 0, "h", 9);
+        rec.histogram(tid, 0, "h", 1000);
+        let roll = rec.rollup_since(&mark);
+        let h = &roll.hists[0];
+        assert_eq!((h.count, h.sum), (2, 1009));
+        assert_eq!((h.min, h.max), (8, 512));
+        assert_eq!(
+            h.buckets,
+            vec![(crate::bucket_of(9), 1), (crate::bucket_of(1000), 1)]
+        );
+        // an empty window rolls up to nothing
+        let mark = rec.mark();
+        assert!(rec.rollup_since(&mark).is_empty());
+        // the drained total keeps exact extremes over both windows
+        let trace = rec.drain();
+        assert_eq!((trace.hists["h"].min, trace.hists["h"].max), (5, 1000));
+    }
+
+    #[test]
+    #[should_panic(expected = "one open window per thread")]
+    fn rollup_on_a_superseded_mark_panics() {
+        let rec = Recorder::new();
+        let first = rec.mark();
+        let _second = rec.mark();
+        let _ = rec.rollup_since(&first);
     }
 
     #[test]

@@ -23,21 +23,15 @@ impl CriticalPath {
         let (_, mut at) = net
             .primary_outputs()
             .iter()
-            .max_by(|a, b| {
-                timing
-                    .arrival_ns(a.1)
-                    .partial_cmp(&timing.arrival_ns(b.1))
-                    .expect("arrival times are finite")
-            })
+            .max_by(|a, b| timing.arrival_ns(a.1).total_cmp(&timing.arrival_ns(b.1)))
             .cloned()?;
         let delay_ns = timing.arrival_ns(at);
         let mut rev = vec![at];
-        while let Some(&worst) = net.fanins(at).iter().max_by(|a, b| {
-            timing
-                .arrival_ns(**a)
-                .partial_cmp(&timing.arrival_ns(**b))
-                .expect("arrival times are finite")
-        }) {
+        while let Some(&worst) = net
+            .fanins(at)
+            .iter()
+            .max_by(|a, b| timing.arrival_ns(**a).total_cmp(&timing.arrival_ns(**b)))
+        {
             rev.push(worst);
             at = worst;
         }

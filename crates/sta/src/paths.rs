@@ -58,7 +58,7 @@ pub fn k_worst_paths(net: &Network, timing: &Timing, k: usize) -> Vec<TimedPath>
     }
     impl Ord for Partial {
         fn cmp(&self, other: &Self) -> Ordering {
-            self.bound.partial_cmp(&other.bound).expect("finite bounds")
+            self.bound.total_cmp(&other.bound)
         }
     }
 

@@ -278,11 +278,7 @@ impl Timing {
         }
         events += self.propagate_backward(net, seeds.into_iter());
         dvs_obs::hist_record("sta.events_per_change", events as u64);
-        dvs_obs::attr_add(
-            "sta.events",
-            || net.node(changed).name().to_string(),
-            events as u64,
-        );
+        dvs_obs::attr_add("sta.events", || net.node(changed).name(), events as u64);
         events
     }
 
@@ -329,11 +325,7 @@ impl Timing {
         dvs_obs::hist_record("sta.events_per_change", events as u64);
         // attribute converter work to the driver: the converter's own name
         // is synthetic, the driver is the gate the optimization targeted
-        dvs_obs::attr_add(
-            "sta.events",
-            || net.node(driver).name().to_string(),
-            events as u64,
-        );
+        dvs_obs::attr_add("sta.events", || net.node(driver).name(), events as u64);
         events
     }
 
@@ -368,11 +360,7 @@ impl Timing {
         let bwd = std::iter::once(driver).chain(net.fanins(driver).iter().copied());
         events += self.propagate_backward(net, bwd);
         dvs_obs::hist_record("sta.events_per_change", events as u64);
-        dvs_obs::attr_add(
-            "sta.events",
-            || net.node(driver).name().to_string(),
-            events as u64,
-        );
+        dvs_obs::attr_add("sta.events", || net.node(driver).name(), events as u64);
         events
     }
 

@@ -115,8 +115,7 @@ fn at_max_size(net: &Network, lib: &Library, g: NodeId) -> bool {
 /// the order a stable sort of [`Network::gate_ids`] by slack gives.
 fn entry_order(slack: &[f64], a: NodeId, b: NodeId) -> std::cmp::Ordering {
     slack[a.index()]
-        .partial_cmp(&slack[b.index()])
-        .expect("finite slacks")
+        .total_cmp(&slack[b.index()])
         .then(a.cmp(&b))
 }
 
@@ -179,7 +178,7 @@ pub fn recover_area(net: &mut Network, lib: &Library, tspec_ns: f64) -> usize {
                 (g, d_area / d_delay)
             })
             .collect();
-        gates.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite ratios"));
+        gates.sort_by(|a, b| b.1.total_cmp(&a.1));
         for (g, _) in gates {
             let cur = net.node(g).size();
             if cur.index() == 0 {
