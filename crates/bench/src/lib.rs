@@ -7,11 +7,11 @@
 //! * `repro_table2` (binary) — Table 2: low-voltage gate counts/ratios and
 //!   the sizing profile;
 //! * `ablation` (binary) — the design-choice ablations of DESIGN.md §7;
-//! * criterion benches (`algorithms`, `substrates`, `tables`) for stable
-//!   micro and macro timings.
+//! * `dvs-sweep` (binary) — scenario-grid sweeps and their JSON documents.
 //!
-//! The library part holds the shared experiment driver so binaries and
-//! benches measure exactly the same flow.
+//! The library part holds the shared experiment driver so every binary
+//! measures exactly the same flow. Timings live in the repository
+//! benchmark (`perfbench/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -75,63 +75,6 @@ pub fn run_all_parallel(lib: &Library, cfg: &FlowConfig, jobs: usize) -> Vec<Cir
 /// Mean of an iterator of f64 (0 when empty); the sweep engine's single
 /// averaging convention, re-exported for the table binaries.
 pub use dvs_sweep::mean;
-
-/// Builds a whole-circuit separator stress workload Gscale-style: nodes
-/// are the live gates in id order, edges the gate→gate fanout arcs,
-/// weights a small deterministic per-gate cost, sources the gates fed
-/// only by primary inputs, sinks the gates driving only primary outputs.
-/// The resulting [`SeparatorProblem`] has the node-split flow-graph shape
-/// `min_vertex_separator` solves, but spans the *entire* circuit — a
-/// deliberately heavier graph than the TCB-fed critical-path networks
-/// production Gscale builds. The criterion `max_flow` group uses it as a
-/// stress microbench; the `perfbench` ledger's `flow.separator_s` row
-/// times the real thing via [`dvs_core::FlowSession::capture_separators`].
-pub fn separator_workload(net: &dvs_netlist::Network) -> dvs_flow::SeparatorProblem {
-    let gates: Vec<dvs_netlist::NodeId> =
-        net.gate_ids().filter(|&g| !net.node(g).is_dead()).collect();
-    let mut index = vec![usize::MAX; net.node_count()];
-    for (ix, &g) in gates.iter().enumerate() {
-        index[g.index()] = ix;
-    }
-    let mut edges = Vec::new();
-    for (ix, &g) in gates.iter().enumerate() {
-        for &s in net.fanouts(g) {
-            let six = index[s.index()];
-            if six != usize::MAX {
-                edges.push((ix, six));
-            }
-        }
-    }
-    let weights: Vec<u64> = gates
-        .iter()
-        .map(|&g| 1 + net.fanouts(g).len() as u64)
-        .collect();
-    let has_gate_fanin: Vec<bool> = gates
-        .iter()
-        .map(|&g| {
-            net.fanins(g)
-                .iter()
-                .any(|&f| index[f.index()] != usize::MAX)
-        })
-        .collect();
-    let has_gate_fanout: Vec<bool> = gates
-        .iter()
-        .map(|&g| {
-            net.fanouts(g)
-                .iter()
-                .any(|&s| index[s.index()] != usize::MAX)
-        })
-        .collect();
-    let sources: Vec<usize> = (0..gates.len()).filter(|&i| !has_gate_fanin[i]).collect();
-    let sinks: Vec<usize> = (0..gates.len()).filter(|&i| !has_gate_fanout[i]).collect();
-    dvs_flow::SeparatorProblem {
-        n: gates.len(),
-        edges,
-        weights,
-        sources,
-        sinks,
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -3,7 +3,7 @@
 //! and `Gscale` start from.
 
 use dvs_celllib::Library;
-use dvs_netlist::{Network, NodeId, Rail};
+use dvs_netlist::{Checkpoint, Network, NodeId, Rail};
 use dvs_sta::Timing;
 
 use crate::demote::{demotion_fits, DemotionPlan};
@@ -33,18 +33,21 @@ pub struct CvsOutcome {
 /// as gates are demoted.
 pub fn cvs(net: &mut Network, lib: &Library, timing: &mut Timing, guard_ns: f64) -> CvsOutcome {
     let mut counters = FlowCounters::default();
-    cvs_counted(net, lib, timing, guard_ns, &mut counters)
+    cvs_counted(net, lib, timing, guard_ns, &mut counters, &mut Vec::new())
 }
 
 /// [`cvs`] with instrumentation: every demotion bumps `counters` (rail
-/// edits and incremental-STA events). [`crate::FlowSession::run_cvs`] calls
-/// this so session-hosted passes stay fully counted.
+/// edits and incremental-STA events) and appends its STA event count to
+/// `events`, in the order of [`CvsOutcome::lowered`].
+/// [`crate::FlowSession::run_cvs`] calls this so session-hosted passes stay
+/// fully counted, and keeps `events` for a [`CvsMemo`].
 pub(crate) fn cvs_counted(
     net: &mut Network,
     lib: &Library,
     timing: &mut Timing,
     guard_ns: f64,
     counters: &mut FlowCounters,
+    events: &mut Vec<u64>,
 ) -> CvsOutcome {
     let _span = dvs_obs::span("cvs");
     let mut lowered = Vec::new();
@@ -68,16 +71,63 @@ pub(crate) fn cvs_counted(
         if demotion_fits(net, timing, &plan, guard_ns) {
             net.set_rail(g, Rail::Low);
             counters.rail_edits += 1;
-            let events = timing.apply_gate_change(net, lib, g) as u64;
-            counters.sta_events += events;
+            let ev = timing.apply_gate_change(net, lib, g) as u64;
+            counters.sta_events += ev;
             // this path bypasses the session's set_rail, so it must emit
             // its own attribution (sta.events rides the apply fn itself)
             dvs_obs::attr_add("session.edits", || net.node(g).name(), 1);
+            events.push(ev);
             lowered.push(g);
         }
     }
     let tcb = time_critical_boundary(net, lib, timing, guard_ns);
     CvsOutcome { lowered, tcb }
+}
+
+/// A CVS pass recorded from a freshly analyzed session state, so that the
+/// session can replay it instead of running it again; see
+/// [`crate::session`]'s "CVS replay".
+#[derive(Debug)]
+pub(crate) struct CvsMemo {
+    /// The checkpoint whose fresh state the pass started from.
+    pub(crate) from: Checkpoint,
+    /// The edit-journal length at `from`: a rollback below it may rebuild
+    /// a different state at an equal checkpoint, so it drops the memo.
+    pub(crate) journal_len: usize,
+    /// `guard_ns.to_bits()` of the recorded pass.
+    pub(crate) guard_bits: u64,
+    pub(crate) outcome: CvsOutcome,
+    /// STA events of each demotion, in the order of `outcome.lowered`.
+    pub(crate) events: Vec<u64>,
+    /// The timing the pass left behind.
+    pub(crate) timing: Timing,
+}
+
+impl CvsMemo {
+    /// Repeats the recorded pass on the state it was recorded from: the
+    /// same journaled rail edits in the same order, the same counter
+    /// increments and observations per demotion (the histogram and
+    /// `sta.events` record that [`Timing::apply_gate_change`] emits, then
+    /// `session.edits`), and the recorded timing in place of the
+    /// re-propagation.
+    pub(crate) fn replay(
+        &self,
+        net: &mut Network,
+        timing: &mut Timing,
+        counters: &mut FlowCounters,
+    ) -> CvsOutcome {
+        let _span = dvs_obs::span("cvs");
+        for (&g, &ev) in self.outcome.lowered.iter().zip(&self.events) {
+            net.set_rail(g, Rail::Low);
+            counters.rail_edits += 1;
+            counters.sta_events += ev;
+            dvs_obs::hist_record("sta.events_per_change", ev);
+            dvs_obs::attr_add("sta.events", || net.node(g).name(), ev);
+            dvs_obs::attr_add("session.edits", || net.node(g).name(), 1);
+        }
+        timing.clone_from(&self.timing);
+        self.outcome.clone()
+    }
 }
 
 /// Computes the time-critical boundary of the current assignment: the

@@ -35,13 +35,18 @@ pub struct AlgoReport {
     /// Measured with a telescoping per-thread lap clock ([`CpuLap`]) so
     /// the column stays comparable between sequential runs and loaded
     /// worker pools, and so sub-tick phases never lose time at phase
-    /// boundaries.
+    /// boundaries. It measures what actually ran: `Dscale`'s and
+    /// `Gscale`'s opening CVS is a replay of the CVS phase's pass (see
+    /// [`FlowSession::run_cvs`]), so the CPU cost of a standalone `Dscale`
+    /// run is `cvs.cpu + dscale.cpu`, and likewise for `Gscale`.
     pub cpu: Duration,
     /// Session instrumentation scoped to this algorithm's phase: the
     /// rollback that restores the pristine network (one `full_analyses`)
-    /// plus everything the algorithm itself did. The algorithms absorb
-    /// structural edits incrementally, so rollbacks are the only full
-    /// analyses a phase pays.
+    /// plus everything the algorithm itself did, its opening CVS
+    /// included — a replayed CVS counts the same rail edits and STA
+    /// events as a live one. The algorithms absorb structural edits
+    /// incrementally, so rollbacks are the only full analyses a phase
+    /// pays.
     pub sta: FlowCounters,
 }
 
@@ -117,6 +122,11 @@ fn report(
 /// is billed to the *following* phase's CPU lap — exactly where the old
 /// protocol paid for its clone + from-scratch `Timing::analyze` — so the
 /// CPU columns stay comparable.
+///
+/// The CVS pass runs once: `Dscale` and `Gscale` each open with the same
+/// CVS from the same freshly rolled-back state, and the session replays
+/// the first pass for them bit for bit ([`FlowSession::run_cvs`]). Their
+/// `sta` counters still include that CVS work; their `cpu` does not.
 ///
 /// Every run is audited ([`crate::audit`]) before measurement; a violated
 /// invariant is a bug, so this panics rather than reporting nonsense.

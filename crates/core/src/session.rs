@@ -24,6 +24,24 @@
 //!   ([`FlowCounters::since`]). `FlowCounters` is the one record of
 //!   session work; the phases' trace lines are [`dvs_obs::instant`]
 //!   events, rendered only when a [`dvs_obs::Subscriber`] is installed.
+//! * **CVS replay** — [`crate::run_circuit`] rolls back to its base
+//!   checkpoint before `Dscale` and `Gscale`, and both open with the same
+//!   CVS pass the CVS phase already ran. The session therefore records the
+//!   first pass that starts from a *fresh* state (right after
+//!   [`FlowSession::new`] or a [`FlowSession::rollback`], before any edit)
+//!   and replays it when [`FlowSession::run_cvs`] is called again from the
+//!   same checkpoint's fresh state with the same `guard_ns` bits. The
+//!   replay re-applies the recorded demotions in order as journaled rail
+//!   edits (so later rollbacks undo them), bumps the same counters, emits
+//!   the same `cvs` span, `sta.events_per_change` samples and
+//!   `sta.events` / `session.edits` attributions, and restores the
+//!   recorded post-pass timing. It is exact because the two starting
+//!   states are identical: the journal restores the network bit for bit
+//!   and both timings come from a from-scratch [`Timing::analyze`]. No
+//!   power delta is queued, as in the live pass (rail flips change no
+//!   activity). A rollback that truncates the journal below the recorded
+//!   checkpoint drops the memo, since an equal checkpoint taken later may
+//!   describe a different state.
 
 use dvs_celllib::Library;
 use dvs_netlist::{Checkpoint, Network, NodeId, Rail, SizeIx};
@@ -32,7 +50,7 @@ use dvs_sta::Timing;
 
 use crate::audit::AuditError;
 use crate::config::FlowConfig;
-use crate::cvs::CvsOutcome;
+use crate::cvs::{CvsMemo, CvsOutcome};
 use crate::demote::DemotionPlan;
 
 /// Monotone per-session instrumentation counters.
@@ -139,6 +157,13 @@ pub struct FlowSession<'l> {
     /// [`FlowSession::capture_separators`] so benchmarks can time max-flow
     /// algorithms on the exact production inputs.
     pub(crate) captured_separators: Option<Vec<dvs_flow::SeparatorProblem>>,
+    /// The checkpoint the current state is the fresh image of: set by
+    /// [`FlowSession::new`] and [`FlowSession::rollback`], cleared by every
+    /// edit and by [`FlowSession::run_cvs`].
+    fresh_at: Option<Checkpoint>,
+    /// The CVS pass recorded from a fresh state, replayed by a later
+    /// [`FlowSession::run_cvs`] from the same state with the same guard.
+    cvs_memo: Option<CvsMemo>,
 }
 
 impl std::fmt::Debug for FlowSession<'_> {
@@ -160,6 +185,7 @@ impl<'l> FlowSession<'l> {
         net.enable_journal();
         let timing = Timing::analyze(&net, lib, tspec_ns);
         dvs_obs::gauge_set("session.nodes", net.node_count() as f64);
+        let fresh_at = Some(net.checkpoint());
         FlowSession {
             net,
             lib,
@@ -171,6 +197,8 @@ impl<'l> FlowSession<'l> {
             },
             power: None,
             captured_separators: None,
+            fresh_at,
+            cvs_memo: None,
         }
     }
 
@@ -235,6 +263,7 @@ impl<'l> FlowSession<'l> {
     /// Reassigns `g`'s supply rail and incrementally re-times the affected
     /// cone. Returns the number of STA worklist events processed.
     pub fn set_rail(&mut self, g: NodeId, rail: Rail) -> usize {
+        self.fresh_at = None;
         self.net.set_rail(g, rail);
         if let Some(p) = self.power.as_mut() {
             p.note(PowerDelta::Rail(g));
@@ -249,6 +278,7 @@ impl<'l> FlowSession<'l> {
     /// Reassigns `g`'s drive size and incrementally re-times the affected
     /// cone. Returns the number of STA worklist events processed.
     pub fn set_size(&mut self, g: NodeId, size: SizeIx) -> usize {
+        self.fresh_at = None;
         self.net.set_size(g, size);
         if let Some(p) = self.power.as_mut() {
             p.note(PowerDelta::SetSize(g));
@@ -277,6 +307,7 @@ impl<'l> FlowSession<'l> {
         let conv = self
             .net
             .insert_converter(driver, sinks, cover_outputs, self.lib.converter())?;
+        self.fresh_at = None;
         if let Some(p) = self.power.as_mut() {
             p.note(PowerDelta::ConverterInserted { conv, driver });
         }
@@ -306,6 +337,7 @@ impl<'l> FlowSession<'l> {
             Vec::new()
         };
         self.net.remove_converter(conv)?;
+        self.fresh_at = None;
         let driver = driver.expect("remove_converter validated a single fanin");
         if let Some(p) = self.power.as_mut() {
             p.note(PowerDelta::ConverterRemoved {
@@ -337,6 +369,10 @@ impl<'l> FlowSession<'l> {
     pub fn rollback(&mut self, cp: Checkpoint) {
         let touched = self.net.rollback_to(cp);
         self.timing = Timing::analyze(&self.net, self.lib, self.tspec_ns);
+        self.fresh_at = Some(cp);
+        if matches!(&self.cvs_memo, Some(m) if self.net.journal_len() < m.journal_len) {
+            self.cvs_memo = None;
+        }
         let nodes_touched = touched.len();
         if let Some(p) = self.power.as_mut() {
             p.note(PowerDelta::Rollback { touched });
@@ -438,15 +474,44 @@ impl<'l> FlowSession<'l> {
 
     /// Runs a [CVS](crate::cvs) pass inside the session, counting each
     /// demotion's rail edit and STA cost.
+    ///
+    /// A pass from the same fresh state with the same guard as an earlier
+    /// one is a replay (see the module docs): it leaves the network, the
+    /// timing, the counters and the observations exactly as the live pass
+    /// would, so [`FlowCounters::sta_events`] still counts the CVS work,
+    /// while the CPU it costs is that of the replay.
     pub fn run_cvs(&mut self, guard_ns: f64) -> CvsOutcome {
+        let fresh = self.fresh_at.take();
         let FlowSession {
             net,
             lib,
             timing,
             counters,
+            cvs_memo,
             ..
         } = self;
-        crate::cvs::cvs_counted(net, lib, timing, guard_ns, counters)
+        match (fresh, cvs_memo.as_ref()) {
+            (Some(from), Some(m)) if m.from == from && m.guard_bits == guard_ns.to_bits() => {
+                m.replay(net, timing, counters)
+            }
+            _ => {
+                let journal_len = net.journal_len();
+                let mut events = Vec::new();
+                let out =
+                    crate::cvs::cvs_counted(net, lib, timing, guard_ns, counters, &mut events);
+                if let Some(from) = fresh {
+                    *cvs_memo = Some(CvsMemo {
+                        from,
+                        journal_len,
+                        guard_bits: guard_ns.to_bits(),
+                        outcome: out.clone(),
+                        events,
+                        timing: timing.clone(),
+                    });
+                }
+                out
+            }
+        }
     }
 
     /// Runs the paper's `Dscale` inside the session; see [`crate::dscale`].
@@ -614,6 +679,35 @@ mod tests {
         );
         assert_eq!(sess.counters().rail_edits, 1);
         assert_eq!(sess.counters().rollbacks, 1);
+    }
+
+    #[test]
+    fn cvs_from_a_fresh_checkpoint_state_is_a_replay() {
+        let lib = lib();
+        let net = chain(&lib, 6);
+        let nominal = Timing::analyze(&net, &lib, 0.0).critical_delay_ns(&net);
+        let mut sess = FlowSession::new(net, &lib, nominal * 1.5);
+        let base = sess.checkpoint();
+        let first = sess.run_cvs(1e-9);
+        assert!(!first.lowered.is_empty());
+        assert_eq!(sess.fresh_at, None);
+        sess.rollback(base);
+        assert_eq!(sess.fresh_at, Some(base));
+        // a replay hands back the recorded outcome: tag it to tell
+        let tag = NodeId::from_index(0);
+        sess.cvs_memo
+            .as_mut()
+            .expect("recorded")
+            .outcome
+            .tcb
+            .push(tag);
+        assert_eq!(sess.run_cvs(1e-9).tcb.last(), Some(&tag));
+        // after an edit, or with another guard, the pass runs live
+        sess.rollback(base);
+        sess.set_size(first.lowered[0], SizeIx(0));
+        assert_ne!(sess.run_cvs(1e-9).tcb.last(), Some(&tag));
+        sess.rollback(base);
+        assert_ne!(sess.run_cvs(2e-9).tcb.last(), Some(&tag));
     }
 
     #[test]

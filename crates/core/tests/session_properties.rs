@@ -3,13 +3,17 @@
 //! must keep the incrementally maintained timing value-identical to a
 //! from-scratch [`Timing::analyze`] — and the incrementally maintained
 //! power *bit-identical* to a from-scratch `simulate` + `estimate` — and
-//! a rollback must restore the network bit-exactly.
+//! a rollback must restore the network bit-exactly. A CVS pass through the
+//! session, replayed or live, must equal the public [`cvs`] run on clones.
+
+use std::sync::Arc;
 
 use dvs_celllib::{compass, Library, VoltagePair};
-use dvs_core::{FlowConfig, FlowSession};
+use dvs_core::{cvs, CvsOutcome, FlowConfig, FlowCounters, FlowSession};
 use dvs_netlist::{Network, NodeId, Rail, SizeIx};
 use dvs_power::{estimate, simulate};
 use dvs_sta::Timing;
+use dvs_synth::{mcnc, prepare};
 use proptest::prelude::*;
 
 fn lib() -> Library {
@@ -108,6 +112,83 @@ fn assert_power_fresh(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> Result<()
     Ok(())
 }
 
+/// What a session CVS pass must produce: the public [`cvs`] run on clones
+/// of the session's network and timing, plus the counter delta the
+/// session must report — one rail edit per demotion and the STA events
+/// that re-applying the demotions in order costs.
+struct CvsOracle {
+    outcome: CvsOutcome,
+    net: Network,
+    timing: Timing,
+    delta: FlowCounters,
+}
+
+impl CvsOracle {
+    fn of(sess: &FlowSession<'_>, guard_ns: f64) -> Self {
+        let lib = sess.library();
+        let mut net = sess.network().clone();
+        let mut timing = sess.timing().clone();
+        let outcome = cvs(&mut net, lib, &mut timing, guard_ns);
+        let (mut again, mut retimed) = (sess.network().clone(), sess.timing().clone());
+        let mut sta_events = 0;
+        for &g in &outcome.lowered {
+            again.set_rail(g, Rail::Low);
+            sta_events += retimed.apply_gate_change(&again, lib, g) as u64;
+        }
+        let delta = FlowCounters {
+            rail_edits: outcome.lowered.len() as u64,
+            sta_events,
+            ..FlowCounters::default()
+        };
+        CvsOracle {
+            outcome,
+            net,
+            timing,
+            delta,
+        }
+    }
+
+    /// Checks a session pass that returned `got` and moved the counters by
+    /// `delta`: outcome, every node and fanout list, and the bits of every
+    /// node's arrival, required time, load and delay.
+    fn check(
+        &self,
+        sess: &FlowSession<'_>,
+        got: &CvsOutcome,
+        delta: FlowCounters,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(got, &self.outcome);
+        prop_assert_eq!(delta, self.delta);
+        let (net, timing) = (sess.network(), sess.timing());
+        prop_assert_eq!(net.node_count(), self.net.node_count());
+        prop_assert_eq!(net.primary_outputs(), self.net.primary_outputs());
+        for ix in 0..net.node_count() {
+            let id = NodeId::from_index(ix);
+            prop_assert_eq!(net.node(id), self.net.node(id));
+            prop_assert_eq!(net.fanouts(id), self.net.fanouts(id));
+            let bits = |t: &Timing| {
+                [
+                    t.arrival_ns(id).to_bits(),
+                    t.required_ns(id).to_bits(),
+                    t.load_pf(id).to_bits(),
+                    t.delay_ns(id).to_bits(),
+                ]
+            };
+            prop_assert_eq!(bits(timing), bits(&self.timing), "timing of {}", id);
+        }
+        Ok(())
+    }
+}
+
+/// `sess.run_cvs(guard_ns)`, checked against its [`CvsOracle`].
+fn run_cvs_checked(sess: &mut FlowSession<'_>, guard_ns: f64) -> Result<(), TestCaseError> {
+    let oracle = CvsOracle::of(sess, guard_ns);
+    let c0 = *sess.counters();
+    let got = sess.run_cvs(guard_ns);
+    let delta = sess.counters().since(&c0);
+    oracle.check(sess, &got, delta)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -117,7 +198,7 @@ proptest! {
     #[test]
     fn session_edits_match_from_scratch_analysis(
         net in network_strategy(),
-        ops in proptest::collection::vec((any::<u32>(), 0u8..5), 1..20),
+        ops in proptest::collection::vec((any::<u32>(), 0u8..6), 1..20),
         tspec_scale in 1.0f64..3.0,
     ) {
         let lib = lib();
@@ -166,7 +247,7 @@ proptest! {
                         sess.remove_converter(conv).expect("tracked converter");
                     }
                 }
-                _ => {
+                4 => {
                     // nested transaction: open a checkpoint now, roll back
                     // to it on the next occurrence of this op kind
                     match inner.take() {
@@ -181,6 +262,17 @@ proptest! {
                         }
                         None => inner = Some(sess.checkpoint()),
                     }
+                }
+                _ => {
+                    // CVS; half the time from a fresh rollback to `base`,
+                    // where a pass with the same guard is a replay
+                    if seed % 2 == 0 {
+                        sess.rollback(base);
+                        inner = None;
+                        converters.clear();
+                    }
+                    let guard_ns = if seed % 3 == 0 { 0.05 } else { cfg.guard_ns };
+                    run_cvs_checked(&mut sess, guard_ns)?;
                 }
             }
             prop_assert!(sess.network().validate(None).is_ok());
@@ -208,4 +300,105 @@ proptest! {
         assert_timing_fresh(&sess)?;
         assert_power_fresh(&mut sess, &cfg)?;
     }
+}
+
+/// A session CVS pass checked against its oracle inside a [`Recorder`]
+/// window, followed by a power refresh (a replay queues no power delta, as
+/// the live pass queues none). Returns the counter delta and the rollup.
+fn observed_cvs(
+    rec: &dvs_obs::Recorder,
+    sess: &mut FlowSession<'_>,
+    cfg: &FlowConfig,
+    guard_ns: f64,
+) -> (FlowCounters, dvs_obs::Rollup) {
+    let oracle = CvsOracle::of(sess, guard_ns);
+    let mark = rec.mark();
+    let c0 = *sess.counters();
+    let got = sess.run_cvs(guard_ns);
+    sess.ensure_power(cfg);
+    let delta = sess.counters().since(&c0);
+    let mut rollup = rec.rollup_since(&mark);
+    rollup.zero_timing();
+    oracle.check(sess, &got, delta).unwrap();
+    (delta, rollup)
+}
+
+/// `run_circuit`'s sequence CVS → Dscale → rollback(base) → CVS replays the
+/// first pass. The replay must equal a fresh session's first (live) CVS in
+/// outcome, network, timing bits, counter delta and observability rollup,
+/// on every profile at scale 1 and on pcle and C1355 at scale 10. An edit
+/// after the rollback, another guard, a rollback to another checkpoint and
+/// an equal checkpoint rebuilt after a deeper rollback each run CVS live.
+#[test]
+fn cvs_replay_matches_a_fresh_pass_on_every_profile() {
+    let lib = lib();
+    let cfg = FlowConfig {
+        sim_vectors: 64,
+        ..FlowConfig::default()
+    };
+    let guard_ns = cfg.guard_ns;
+    // process-global: concurrent tests may record too, but a window only
+    // holds this thread's records
+    let rec = Arc::new(dvs_obs::Recorder::new());
+    dvs_obs::set_subscriber(Some(rec.clone()));
+    let mut cases: Vec<_> = mcnc::PROFILES.iter().map(|p| (p.name, 1)).collect();
+    cases.extend([("pcle", 10), ("C1355", 10)]);
+    for (name, scale) in cases {
+        let profile = mcnc::find(name).expect("known profile");
+        let p = prepare(mcnc::generate_scaled(profile, &lib, scale, 0), &lib, 1.2);
+        let check = |sess: &mut FlowSession<'_>, guard_ns: f64, step: &str| {
+            if let Err(e) = run_cvs_checked(sess, guard_ns) {
+                panic!("{name}.x{scale}: {step}: {e:?}");
+            }
+        };
+
+        let mut fresh = FlowSession::new(p.network.clone(), &lib, p.tspec_ns);
+        fresh.ensure_power(&cfg);
+        let live = observed_cvs(&rec, &mut fresh, &cfg, guard_ns);
+
+        let mut sess = FlowSession::new(p.network.clone(), &lib, p.tspec_ns);
+        let base = sess.checkpoint();
+        sess.run_cvs(guard_ns);
+        sess.run_dscale(&cfg);
+        sess.rollback(base);
+        sess.ensure_power(&cfg);
+        let replayed = observed_cvs(&rec, &mut sess, &cfg, guard_ns);
+        assert_eq!(replayed, live, "{name}.x{scale}: replay vs live");
+
+        // a gate whose size can move
+        let (g, size) = {
+            let net = sess.network();
+            net.gate_ids()
+                .find_map(|g| {
+                    let n = lib.cell(net.node(g).cell()).sizes().len();
+                    (n > 1).then(|| (g, SizeIx((net.node(g).size().0 + 1) % n as u8)))
+                })
+                .expect("a resizable gate")
+        };
+        sess.rollback(base);
+        sess.set_size(g, size);
+        check(&mut sess, guard_ns, "edit after rollback");
+
+        sess.rollback(base);
+        check(&mut sess, guard_ns + 0.05, "other guard");
+
+        sess.rollback(base);
+        sess.set_size(g, size);
+        let other = sess.checkpoint();
+        sess.run_cvs(guard_ns);
+        sess.rollback(other);
+        check(&mut sess, guard_ns, "other checkpoint");
+        sess.rollback(other);
+        check(&mut sess, guard_ns, "other checkpoint again");
+
+        // `rebuilt` equals `other` as a journal position, but names a
+        // state with a different edit
+        sess.rollback(base);
+        sess.set_rail(g, Rail::Low);
+        let rebuilt = sess.checkpoint();
+        assert_eq!(rebuilt, other);
+        sess.rollback(rebuilt);
+        check(&mut sess, guard_ns, "rebuilt checkpoint");
+    }
+    dvs_obs::set_subscriber(None);
 }

@@ -290,6 +290,9 @@ impl FlowGraph {
     /// for *every* max flow — the same [`FlowGraph::min_cut_side`]. Only
     /// the path counts differ.
     ///
+    /// This is the test oracle: production code never calls it, and it
+    /// stays public only for `tests/dinic_vs_ek.rs`.
+    ///
     /// # Panics
     ///
     /// Panics if `s == t` or either is out of range.

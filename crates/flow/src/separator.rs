@@ -24,9 +24,9 @@ pub struct SeparatorProblem {
 
 impl SeparatorProblem {
     /// Builds the node-split flow network of the standard reduction and
-    /// returns `(graph, super_source, super_sink)`. Exposed so benches
-    /// and differential tests can run alternative max-flow algorithms on
-    /// the exact separator-shaped graphs `Gscale` produces.
+    /// returns `(graph, super_source, super_sink)`. Exposed so
+    /// differential tests can run alternative max-flow algorithms on the
+    /// exact separator-shaped graphs `Gscale` produces.
     ///
     /// # Panics
     ///

@@ -177,9 +177,14 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the limit keeps hostile input from overflowing the
+/// stack; the documents this crate writes nest 8 deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Validates that `text` is one syntactically well-formed JSON document
-/// (RFC 8259 grammar). Returns the byte offset and reason of the first
-/// error.
+/// (RFC 8259 grammar) nesting at most [`MAX_DEPTH`] deep. Returns the byte
+/// offset and reason of the first error.
 pub fn validate(text: &str) -> Result<(), String> {
     parse(text).map(|_| ())
 }
@@ -187,12 +192,14 @@ pub fn validate(text: &str) -> Result<(), String> {
 /// Parses `text` into a [`Json`] value tree (RFC 8259 grammar). Numbers
 /// without a fraction or exponent that fit an integer parse as
 /// [`Json::UInt`] / [`Json::Int`]; everything else numeric becomes
-/// [`Json::Num`]. Returns the byte offset and reason of the first error.
+/// [`Json::Num`]. Arrays and objects nested deeper than [`MAX_DEPTH`] are
+/// an error. Returns the byte offset and reason of the first error.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         text,
         b: text.as_bytes(),
         at: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -207,6 +214,8 @@ struct Parser<'a> {
     text: &'a str,
     b: &'a [u8],
     at: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -244,8 +253,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.literal("false").map(|()| Json::Bool(false)),
@@ -253,6 +262,17 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object a level deeper, up to [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -572,6 +592,24 @@ mod tests {
         ] {
             assert!(validate(bad).is_err(), "accepted: {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_limited_without_overflowing_the_stack() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"k\":".repeat(n), "}".repeat(n));
+        for deep in [arrays(200_000), objects(200_000), arrays(MAX_DEPTH + 1)] {
+            let err = parse(&deep).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+            assert!(validate(&deep).is_err());
+        }
+        assert!(validate(&objects(MAX_DEPTH + 1)).is_err());
+        let mut v = parse(&arrays(MAX_DEPTH)).unwrap();
+        for _ in 1..MAX_DEPTH {
+            v = v.as_array().unwrap()[0].clone();
+        }
+        assert_eq!(v, Json::Arr(Vec::new()));
+        validate(&objects(MAX_DEPTH)).unwrap();
     }
 
     #[test]
