@@ -17,8 +17,9 @@ const EPS: f64 = 1e-12;
 /// [`Timing::apply_converter_removal`] — all three are worklist
 /// propagations touching only the affected cones, so hot loops never need
 /// the from-scratch [`Timing::rebuild`]. [`Timing::retarget`] moves the
-/// constraint with two linear sweeps and no re-derivation of untouched
-/// loads.
+/// constraint by re-timing arrivals only in the fanout cones of the edited
+/// gates and re-deriving every required time in one backward pass over a
+/// flat topological index.
 #[derive(Debug, Clone)]
 pub struct Timing {
     tspec_ns: f64,
@@ -29,8 +30,75 @@ pub struct Timing {
     po_sinks: Vec<u32>,
     /// Nodes with `po_sinks > 0`, in ascending index order.
     po_drivers: Vec<NodeId>,
-    topo: Vec<NodeId>,
+    /// Topological position of every node; a converter inserted since the
+    /// last rebuild shares its driver's.
     topo_pos: Vec<u32>,
+    /// The network's structure as of the last rebuild, dropped by any
+    /// structural edit.
+    index: Option<TopoIndex>,
+    /// Worklist flags, all false between calls: indexed by node in the
+    /// incremental propagations, by topological position in [`Self::sweep`].
+    queued: Vec<bool>,
+    /// Worklist of the incremental propagations, empty between calls.
+    heap: BinaryHeap<(i64, NodeId)>,
+}
+
+/// The live nodes of a network in topological order, with each node's
+/// fanins and fanouts flattened into one array apiece (in the network's
+/// list order), so full-network sweeps stream through memory instead of
+/// chasing per-node lists.
+#[derive(Debug, Clone)]
+struct TopoIndex {
+    /// Node at each position.
+    order: Vec<NodeId>,
+    /// `fanins[fanin_at[p]..fanin_at[p + 1]]` are the fanins at position `p`.
+    fanin_at: Vec<u32>,
+    fanins: Vec<NodeId>,
+    /// `fanouts[fanout_at[p]..fanout_at[p + 1]]` are the fanouts at `p`.
+    fanout_at: Vec<u32>,
+    fanouts: Vec<NodeId>,
+    /// Whether the required time at `p` starts from the constraint: the
+    /// node drives a primary output or nothing at all.
+    anchored: Vec<bool>,
+}
+
+impl TopoIndex {
+    fn new(net: &Network, po_sinks: &[u32]) -> Self {
+        let order = net.topo_order();
+        let edges = net.edge_count();
+        let mut index = TopoIndex {
+            fanin_at: Vec::with_capacity(order.len() + 1),
+            fanins: Vec::with_capacity(edges),
+            fanout_at: Vec::with_capacity(order.len() + 1),
+            fanouts: Vec::with_capacity(edges),
+            anchored: Vec::with_capacity(order.len()),
+            order,
+        };
+        for &id in &index.order {
+            index.fanin_at.push(offset(index.fanins.len()));
+            index.fanins.extend_from_slice(net.fanins(id));
+            index.fanout_at.push(offset(index.fanouts.len()));
+            index.fanouts.extend_from_slice(net.fanouts(id));
+            index
+                .anchored
+                .push(po_sinks[id.index()] > 0 || net.fanouts(id).is_empty());
+        }
+        index.fanin_at.push(offset(index.fanins.len()));
+        index.fanout_at.push(offset(index.fanouts.len()));
+        index
+    }
+
+    fn fanins(&self, pos: usize) -> &[NodeId] {
+        &self.fanins[self.fanin_at[pos] as usize..self.fanin_at[pos + 1] as usize]
+    }
+
+    fn fanouts(&self, pos: usize) -> &[NodeId] {
+        &self.fanouts[self.fanout_at[pos] as usize..self.fanout_at[pos + 1] as usize]
+    }
+}
+
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a network has fewer than 2^32 edges")
 }
 
 impl Timing {
@@ -45,8 +113,10 @@ impl Timing {
             load: Vec::new(),
             po_sinks: Vec::new(),
             po_drivers: Vec::new(),
-            topo: Vec::new(),
             topo_pos: Vec::new(),
+            index: None,
+            queued: Vec::new(),
+            heap: BinaryHeap::new(),
         };
         t.rebuild(net, lib);
         t
@@ -54,41 +124,52 @@ impl Timing {
 
     /// Recomputes everything from scratch — required after structural edits
     /// (level-converter insertion/removal) which invalidate the cached
-    /// topological order.
+    /// topological order — and rebuilds the flat topological index that
+    /// its own sweep and [`Timing::retarget`] read.
     pub fn rebuild(&mut self, net: &Network, lib: &Library) {
         let n = net.node_count();
-        self.topo = net.topo_order();
-        self.topo_pos = vec![0; n];
-        for (ix, &id) in self.topo.iter().enumerate() {
-            self.topo_pos[id.index()] = ix as u32;
-        }
         self.po_sinks = po_sink_counts(net);
         self.po_drivers = (0..n)
             .filter(|&ix| self.po_sinks[ix] > 0)
             .map(NodeId::from_index)
             .collect();
+        let index = TopoIndex::new(net, &self.po_sinks);
+        let live = index.order.len();
+        self.topo_pos = vec![0; n];
+        for (pos, &id) in index.order.iter().enumerate() {
+            self.topo_pos[id.index()] = pos as u32;
+        }
         self.arrival = vec![0.0; n];
         self.required = vec![f64::INFINITY; n];
         self.delay = vec![0.0; n];
         self.load = vec![0.0; n];
-        for &id in &self.topo {
+        for &id in &index.order {
             self.load[id.index()] = load_pf(net, lib, id, &self.po_sinks);
             self.delay[id.index()] = gate_delay(net, lib, id, self.load[id.index()]);
         }
-        self.sweep(net);
+        // every position is a seed, so the cone walk times every node
+        self.queued = vec![true; live];
+        self.queued.resize(n, false);
+        self.sweep(&index, 0);
+        self.index = Some(index);
     }
 
     /// Re-anchors the analysis at a new constraint `tspec_ns` after gate
-    /// attribute edits, in two linear sweeps instead of a full
-    /// [`Timing::analyze`].
+    /// attribute edits, without a full [`Timing::analyze`].
     ///
     /// Load and delay of every gate in `changed` and of its fanins are
     /// re-derived unconditionally (the incremental updates leave a value
     /// alone when it moves by 1e-12 ns or less, so these may be slightly
-    /// stale); every other cached load and delay is reused. One forward
-    /// sweep then recomputes every arrival time and one backward sweep
-    /// every required time at `tspec_ns`, over the cached topological
-    /// order.
+    /// stale); every other cached load and delay is reused. Arrival times
+    /// do not depend on the constraint, so only the fanout cone of those
+    /// re-derived nodes is re-timed: a walk of the topological order from
+    /// the cone's first position that visits cone nodes alone. The whole
+    /// cone is recomputed, since a stale value can sit behind a node whose
+    /// bits did not change; everything outside it has unchanged inputs.
+    /// The new constraint moves every required time, so one backward pass
+    /// over the flat topological index built by [`Timing::rebuild`]
+    /// re-derives them all. The cost is the cone plus one streaming pass
+    /// over the network.
     ///
     /// # Exactness
     ///
@@ -102,15 +183,27 @@ impl Timing {
     ///   `changed`. A gate edited and restored again, each time through
     ///   [`Timing::apply_gate_change`], may be left out: the restoring
     ///   update recomputes every value it moved from the original inputs.
+    ///
+    /// # Panics
+    ///
+    /// If a converter was inserted or removed since the last
+    /// [`Timing::analyze`] / [`Timing::rebuild`].
     pub fn retarget(&mut self, net: &Network, lib: &Library, tspec_ns: f64, changed: &[NodeId]) {
+        let index = self.index.take().expect(
+            "Timing::retarget after a converter insertion or removal: call Timing::rebuild first",
+        );
         self.tspec_ns = tspec_ns;
+        let mut first = usize::MAX;
         for &g in changed {
-            self.rederive(net, lib, g);
-            for &f in net.fanins(g) {
-                self.rederive(net, lib, f);
+            for id in std::iter::once(g).chain(net.fanins(g).iter().copied()) {
+                self.rederive(net, lib, id);
+                let pos = self.topo_pos[id.index()] as usize;
+                self.queued[pos] = true;
+                first = first.min(pos);
             }
         }
-        self.sweep(net);
+        self.sweep(&index, first);
+        self.index = Some(index);
     }
 
     /// Recomputes load and delay of `id` from the network.
@@ -119,20 +212,34 @@ impl Timing {
         self.delay[id.index()] = gate_delay(net, lib, id, self.load[id.index()]);
     }
 
-    /// One forward arrival sweep and one backward required sweep over the
-    /// cached topological order.
-    fn sweep(&mut self, net: &Network) {
-        for &id in &self.topo {
-            self.arrival[id.index()] = self.compute_arrival(net, id);
+    /// Re-times arrivals at the positions flagged in `queued` and in their
+    /// fanout cones, walking the topological index from position `first`
+    /// (and leaving `queued` all false), then re-derives every required
+    /// time in one backward pass over the index.
+    fn sweep(&mut self, index: &TopoIndex, first: usize) {
+        for pos in first..index.order.len() {
+            if !std::mem::take(&mut self.queued[pos]) {
+                continue;
+            }
+            let id = index.order[pos];
+            self.arrival[id.index()] = self.arrival_via(index.fanins(pos), id);
+            for &fo in index.fanouts(pos) {
+                self.queued[self.topo_pos[fo.index()] as usize] = true;
+            }
         }
-        for &id in self.topo.iter().rev() {
-            self.required[id.index()] = self.compute_required(net, id);
+        for pos in (0..index.order.len()).rev() {
+            let req = self.required_via_fanouts(index.anchored[pos], index.fanouts(pos));
+            self.required[index.order[pos].index()] = req;
         }
     }
 
     fn compute_arrival(&self, net: &Network, id: NodeId) -> f64 {
-        let base = net
-            .fanins(id)
+        self.arrival_via(net.fanins(id), id)
+    }
+
+    /// Arrival at `id` given its fanins.
+    fn arrival_via(&self, fanins: &[NodeId], id: NodeId) -> f64 {
+        let base = fanins
             .iter()
             .map(|f| self.arrival[f.index()])
             .fold(0.0f64, f64::max);
@@ -140,12 +247,19 @@ impl Timing {
     }
 
     fn compute_required(&self, net: &Network, id: NodeId) -> f64 {
-        let mut req = if self.po_sinks[id.index()] > 0 || net.fanouts(id).is_empty() {
+        let fanouts = net.fanouts(id);
+        self.required_via_fanouts(self.po_sinks[id.index()] > 0 || fanouts.is_empty(), fanouts)
+    }
+
+    /// Required time at a node given its fanouts, starting from the
+    /// constraint when `anchored`.
+    fn required_via_fanouts(&self, anchored: bool, fanouts: &[NodeId]) -> f64 {
+        let mut req = if anchored {
             self.tspec_ns
         } else {
             f64::INFINITY
         };
-        for &fo in net.fanouts(id) {
+        for &fo in fanouts {
             req = req.min(self.required[fo.index()] - self.delay[fo.index()]);
         }
         req
@@ -308,7 +422,8 @@ impl Timing {
         self.po_sinks.resize(n, 0);
         self.topo_pos.resize(n, 0);
         self.topo_pos[conv.index()] = self.topo_pos[driver.index()];
-        self.topo.push(conv);
+        self.queued.resize(n, false);
+        self.index = None;
         self.recount_po_sinks(net, &[driver, conv]);
         for id in [driver, conv] {
             self.rederive(net, lib, id);
@@ -352,6 +467,7 @@ impl Timing {
         self.required[cix] = f64::INFINITY;
         self.delay[cix] = 0.0;
         self.load[cix] = 0.0;
+        self.index = None;
         self.recount_po_sinks(net, &[driver, conv]);
         self.rederive(net, lib, driver);
         let mut events = 1;
@@ -393,8 +509,8 @@ impl Timing {
     fn propagate_forward(&mut self, net: &Network, seeds: impl Iterator<Item = NodeId>) -> usize {
         // min-heap on topological position (BinaryHeap is a max-heap, so
         // store negated positions)
-        let mut heap: BinaryHeap<(i64, NodeId)> = BinaryHeap::new();
-        let mut queued = vec![false; net.node_count()];
+        let mut heap = std::mem::take(&mut self.heap);
+        let mut queued = std::mem::take(&mut self.queued);
         let mut events = 0;
         for s in seeds {
             if !queued[s.index()] {
@@ -416,12 +532,14 @@ impl Timing {
                 }
             }
         }
+        self.heap = heap;
+        self.queued = queued;
         events
     }
 
     fn propagate_backward(&mut self, net: &Network, seeds: impl Iterator<Item = NodeId>) -> usize {
-        let mut heap: BinaryHeap<(i64, NodeId)> = BinaryHeap::new();
-        let mut queued = vec![false; net.node_count()];
+        let mut heap = std::mem::take(&mut self.heap);
+        let mut queued = std::mem::take(&mut self.queued);
         let mut events = 0;
         for s in seeds {
             if !queued[s.index()] {
@@ -443,6 +561,8 @@ impl Timing {
                 }
             }
         }
+        self.heap = heap;
+        self.queued = queued;
         events
     }
 }
@@ -798,6 +918,53 @@ mod tests {
         let tmin = t.critical_delay_ns(&net);
         t.retarget(&net, &lib, tmin, &[]);
         assert_eq!(t.tspec_ns(), tmin);
+        assert_bits_match_fresh(&t, &net, &lib);
+    }
+
+    /// The chain of [`chain`] with `gates[0]` on the low rail behind a
+    /// converter that drives `gates[1]`.
+    fn chain_with_converter(
+        lib: &Library,
+        t: &mut Timing,
+        net: &mut Network,
+        gates: &[NodeId],
+    ) -> NodeId {
+        net.set_rail(gates[0], Rail::Low);
+        t.apply_gate_change(net, lib, gates[0]);
+        let conv = net
+            .insert_converter(gates[0], &[gates[1]], false, lib.converter())
+            .unwrap();
+        t.apply_converter_insertion(net, lib, conv);
+        conv
+    }
+
+    #[test]
+    #[should_panic(expected = "call Timing::rebuild first")]
+    fn retarget_after_a_converter_edit_needs_a_rebuild() {
+        let lib = lib();
+        let (mut net, gates) = chain(&lib, 3);
+        let mut t = Timing::analyze(&net, &lib, 100.0);
+        chain_with_converter(&lib, &mut t, &mut net, &gates);
+        t.retarget(&net, &lib, 50.0, &[]);
+    }
+
+    #[test]
+    fn rebuild_after_converter_edits_makes_retarget_exact_again() {
+        let lib = lib();
+        let (mut net, gates) = chain(&lib, 4);
+        let mut t = Timing::analyze(&net, &lib, 100.0);
+        let conv = chain_with_converter(&lib, &mut t, &mut net, &gates);
+        t.rebuild(&net, &lib);
+        net.set_size(gates[2], SizeIx(1));
+        t.apply_gate_change(&net, &lib, gates[2]);
+        t.retarget(&net, &lib, 50.0, &[gates[2]]);
+        assert_bits_match_fresh(&t, &net, &lib);
+        net.remove_converter(conv).unwrap();
+        t.apply_converter_removal(&net, &lib, conv, gates[0]);
+        t.rebuild(&net, &lib);
+        net.set_size(gates[1], SizeIx(1));
+        t.apply_gate_change(&net, &lib, gates[1]);
+        t.retarget(&net, &lib, 20.0, &[gates[1]]);
         assert_bits_match_fresh(&t, &net, &lib);
     }
 

@@ -1,6 +1,6 @@
 //! Property tests of the timing engine against brute-force references.
 
-use dvs_celllib::{compass, Library, VoltagePair};
+use dvs_celllib::{compass, Cell, GateFn, Library, LibraryBuilder, SizeVariant, VoltagePair};
 use dvs_netlist::{Network, NodeId, Rail, SizeIx};
 use dvs_sta::{k_worst_paths, load_pf, po_sink_counts, Timing};
 use proptest::prelude::*;
@@ -115,6 +115,157 @@ fn edit_gate(net: &mut Network, lib: &Library, g: NodeId, rail: bool) {
     }
 }
 
+/// One TILOS-style trial on `g`: edit it and absorb the edit
+/// incrementally; unless `keep`, undo it again through the same path.
+fn trial(net: &mut Network, lib: &Library, t: &mut Timing, g: NodeId, rail: bool, keep: bool) {
+    edit_gate(net, lib, g, rail);
+    t.apply_gate_change(net, lib, g);
+    if !keep {
+        if rail {
+            edit_gate(net, lib, g, true);
+        } else {
+            let sizes = lib.cell(net.node(g).cell()).sizes().len();
+            let prev = (net.node(g).size().index() + sizes - 1) % sizes;
+            net.set_size(g, SizeIx(prev as u8));
+        }
+        t.apply_gate_change(net, lib, g);
+    }
+}
+
+/// A library whose first size step moves input capacitance and intrinsic
+/// delay by less than the incremental tolerance, so a kept step there
+/// leaves stale values behind for the re-anchor to repair; the second step
+/// is a real up-sizing.
+fn cone_lib() -> Library {
+    let d0 = SizeVariant {
+        name: "d0".into(),
+        area: 1.0,
+        input_cap_pf: 0.01,
+        intrinsic_ns: 0.1,
+        drive_res_ns_per_pf: 3.0,
+        internal_cap_pf: 0.005,
+        leakage_nw: 1.0,
+    };
+    let sizes = |scale: f64| {
+        let d0 = SizeVariant {
+            intrinsic_ns: 0.1 * scale,
+            ..d0.clone()
+        };
+        let d1 = SizeVariant {
+            name: "d1".into(),
+            input_cap_pf: d0.input_cap_pf + 1e-13,
+            intrinsic_ns: d0.intrinsic_ns + 1e-13,
+            ..d0.clone()
+        };
+        let d2 = SizeVariant {
+            name: "d2".into(),
+            area: 2.0,
+            input_cap_pf: 0.02,
+            drive_res_ns_per_pf: 1.5,
+            ..d0.clone()
+        };
+        vec![d0, d1, d2]
+    };
+    LibraryBuilder::new("cone")
+        .cell(Cell::new("INV", GateFn::Inv, sizes(1.0)))
+        .cell(Cell::new("NAND2", GateFn::Nand(2), sizes(1.0)))
+        .cell(Cell::new("NOR2", GateFn::Nor(2), sizes(1.25)))
+        .cell(Cell::new("XOR2", GateFn::Xor, sizes(1.5)))
+        .converter_cell(vec![d0])
+        .build()
+        .unwrap()
+}
+
+/// Random network over [`cone_lib`] with the shapes the re-anchor's cone
+/// walk must handle: sinks wired twice to one driver, gates fed by primary
+/// inputs alone, gates that drive nothing (neither a fanout nor a primary
+/// output), and twin gates joined by one sink, whose arrivals tie.
+fn cone_network_strategy() -> impl Strategy<Value = Network> {
+    (
+        2usize..5,
+        proptest::collection::vec((any::<u32>(), 0u8..6), 4..40),
+        1usize..4,
+    )
+        .prop_map(|(inputs, gates, outputs)| {
+            let lib = cone_lib();
+            let inv = lib.find("INV").unwrap();
+            let cells2 = [
+                lib.find("NAND2").unwrap(),
+                lib.find("NOR2").unwrap(),
+                lib.find("XOR2").unwrap(),
+            ];
+            let mut net = Network::new("cone");
+            let pis: Vec<NodeId> = (0..inputs)
+                .map(|i| net.add_input(format!("pi{i}")))
+                .collect();
+            let mut pool = pis.clone();
+            for (ix, (seed, kind)) in gates.iter().enumerate() {
+                let s = *seed as usize;
+                let a = pool[s % pool.len()];
+                let b = pool[s / 7 % pool.len()];
+                let cell = cells2[s / 3 % 3];
+                let name = format!("g{ix}");
+                match kind {
+                    0 => pool.push(net.add_gate(name, cell, &[a, a])),
+                    1 => {
+                        let fanins = [pis[s % pis.len()], pis[s / 5 % pis.len()]];
+                        pool.push(net.add_gate(name, cell, &fanins));
+                    }
+                    // left out of the pool: nothing reads it
+                    2 => {
+                        net.add_gate(name, inv, &[a]);
+                    }
+                    3 => {
+                        let t1 = net.add_gate(format!("{name}a"), cell, &[a, b]);
+                        let t2 = net.add_gate(format!("{name}b"), cell, &[a, b]);
+                        pool.push(net.add_gate(name, cells2[0], &[t1, t2]));
+                    }
+                    _ => pool.push(net.add_gate(name, cell, &[a, b])),
+                }
+            }
+            for o in 0..outputs {
+                let d = pool[pool.len() - 1 - o % 3.min(pool.len())];
+                net.add_output(format!("po{o}"), d);
+            }
+            net
+        })
+}
+
+/// Runs `ops` as trials on gates picked from `pool`, re-anchoring after
+/// each one (kept gates listed in `changed`) at its constraint, or at the
+/// current critical delay when it gives none, and checks every re-anchor
+/// against a fresh analysis.
+fn retarget_after_trials(
+    net: &mut Network,
+    lib: &Library,
+    pool: &[NodeId],
+    ops: &[(u32, bool, bool, Option<f64>)],
+) -> Result<(), TestCaseError> {
+    let mut t = Timing::analyze(net, lib, 8.0);
+    for &(pick, rail, keep, tspec) in ops {
+        let g = pool[pick as usize % pool.len()];
+        trial(net, lib, &mut t, g, rail, keep);
+        let changed: &[NodeId] = if keep { &[g] } else { &[] };
+        let tspec = tspec.unwrap_or_else(|| t.critical_delay_ns(net));
+        t.retarget(net, lib, tspec, changed);
+        assert_bits_match_fresh(&t, net, lib)?;
+    }
+    Ok(())
+}
+
+/// Trials `(pick, rail, keep, anchor)` for [`retarget_after_trials`];
+/// about one in twelve re-anchors at the current critical delay.
+fn ops_strategy(
+    len: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<(u32, bool, bool, Option<f64>)>> {
+    proptest::collection::vec(
+        (any::<u32>(), any::<bool>(), any::<bool>(), 0.0f64..12.0).prop_map(
+            |(pick, rail, keep, tspec)| (pick, rail, keep, (tspec >= 1.0).then_some(tspec)),
+        ),
+        len,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -138,19 +289,9 @@ proptest! {
         let mut changed = Vec::new();
         for (pick, rail, mode, tspec) in ops {
             let g = gates[pick as usize % gates.len()];
-            edit_gate(&mut net, &lib, g, rail);
-            t.apply_gate_change(&net, &lib, g);
-            if mode == 0 {
-                // a rejected trial: undo the edit through the same path
-                if rail {
-                    edit_gate(&mut net, &lib, g, true);
-                } else {
-                    let sizes = lib.cell(net.node(g).cell()).sizes().len();
-                    let prev = (net.node(g).size().index() + sizes - 1) % sizes;
-                    net.set_size(g, SizeIx(prev as u8));
-                }
-                t.apply_gate_change(&net, &lib, g);
-            } else {
+            // mode 0 is a rejected trial
+            trial(&mut net, &lib, &mut t, g, rail, mode != 0);
+            if mode != 0 {
                 changed.push(g);
             }
             // re-anchor after most edits; let some edits accumulate
@@ -162,6 +303,133 @@ proptest! {
         }
         t.retarget(&net, &lib, 5.0, &changed);
         assert_bits_match_fresh(&t, &net, &lib)?;
+    }
+
+    /// Gates that drive neither a fanout nor an output anchor at the
+    /// constraint alone, and their cones end at themselves.
+    #[test]
+    fn retarget_edits_gates_that_drive_nothing(
+        net in cone_network_strategy(),
+        ops in ops_strategy(1..12),
+    ) {
+        let lib = cone_lib();
+        let mut net = net;
+        let pool: Vec<NodeId> = net
+            .gate_ids()
+            .filter(|&g| net.fanouts(g).is_empty() && !net.drives_output(g))
+            .collect();
+        prop_assume!(!pool.is_empty());
+        retarget_after_trials(&mut net, &lib, &pool, &ops)?;
+    }
+
+    /// A sink wired twice to one driver lists it twice among its fanins and
+    /// itself twice among the driver's fanouts.
+    #[test]
+    fn retarget_edits_double_wired_sinks_and_their_drivers(
+        net in cone_network_strategy(),
+        ops in ops_strategy(1..12),
+    ) {
+        let lib = cone_lib();
+        let mut net = net;
+        let mut pool = Vec::new();
+        for g in net.gate_ids() {
+            let fanins = net.fanins(g);
+            if fanins.len() == 2 && fanins[0] == fanins[1] {
+                pool.push(g);
+                if net.node(fanins[0]).is_gate() {
+                    pool.push(fanins[0]);
+                }
+            }
+        }
+        prop_assume!(!pool.is_empty());
+        retarget_after_trials(&mut net, &lib, &pool, &ops)?;
+    }
+
+    /// Kept gates whose fanins are all primary inputs seed the cone walk
+    /// at the inputs' positions.
+    #[test]
+    fn retarget_edits_gates_fed_by_primary_inputs(
+        net in cone_network_strategy(),
+        ops in ops_strategy(1..12),
+    ) {
+        let lib = cone_lib();
+        let mut net = net;
+        let pool: Vec<NodeId> = net
+            .gate_ids()
+            .filter(|&g| net.fanins(g).iter().all(|&f| net.node(f).is_input()))
+            .collect();
+        prop_assume!(!pool.is_empty());
+        retarget_after_trials(&mut net, &lib, &pool, &ops)?;
+    }
+
+    /// Several kept gates, each followed by one of its fanouts so their
+    /// cones overlap, re-anchored at once with some gates listed twice
+    /// (and some edited twice).
+    #[test]
+    fn retarget_merges_overlapping_cones_and_repeated_gates(
+        net in cone_network_strategy(),
+        picks in proptest::collection::vec((any::<u32>(), any::<bool>(), 0u8..3), 1..8),
+        tspec in 0.5f64..12.0,
+    ) {
+        let lib = cone_lib();
+        let mut net = net;
+        let gates: Vec<NodeId> = net.gate_ids().collect();
+        let mut t = Timing::analyze(&net, &lib, 8.0);
+        let mut changed = Vec::new();
+        for (pick, rail, repeat) in picks {
+            let g = gates[pick as usize % gates.len()];
+            trial(&mut net, &lib, &mut t, g, rail, true);
+            changed.push(g);
+            if let Some(&fo) = net.fanouts(g).first() {
+                trial(&mut net, &lib, &mut t, fo, !rail, true);
+                changed.push(fo);
+            }
+            match repeat {
+                0 => changed.push(g),
+                1 => {
+                    trial(&mut net, &lib, &mut t, g, rail, true);
+                    changed.push(g);
+                }
+                _ => {}
+            }
+        }
+        t.retarget(&net, &lib, tspec, &changed);
+        assert_bits_match_fresh(&t, &net, &lib)?;
+    }
+
+    /// With nothing kept, a re-anchor re-times no arrival and moves only
+    /// the required times, after any number of rejected trials.
+    #[test]
+    fn retarget_with_nothing_changed_moves_only_the_anchor(
+        net in cone_network_strategy(),
+        ops in proptest::collection::vec((any::<u32>(), any::<bool>(), 0.0f64..12.0), 0..8),
+    ) {
+        let lib = cone_lib();
+        let mut net = net;
+        let gates: Vec<NodeId> = net.gate_ids().collect();
+        let mut t = Timing::analyze(&net, &lib, 8.0);
+        for (pick, rail, tspec) in ops {
+            let g = gates[pick as usize % gates.len()];
+            trial(&mut net, &lib, &mut t, g, rail, false);
+            let arrivals: Vec<u64> = net.node_ids().map(|id| t.arrival_ns(id).to_bits()).collect();
+            t.retarget(&net, &lib, tspec, &[]);
+            let after: Vec<u64> = net.node_ids().map(|id| t.arrival_ns(id).to_bits()).collect();
+            prop_assert_eq!(arrivals, after);
+            assert_bits_match_fresh(&t, &net, &lib)?;
+        }
+    }
+
+    /// Long runs of trials and re-anchors, the anchor alternating between
+    /// given constraints and the current critical delay, as TILOS passes do.
+    #[test]
+    fn retarget_long_chains_with_varying_anchors(
+        net in cone_network_strategy(),
+        ops in ops_strategy(24..64),
+    ) {
+        let lib = cone_lib();
+        let mut net = net;
+        let gates: Vec<NodeId> = net.gate_ids().collect();
+        retarget_after_trials(&mut net, &lib, &gates, &ops)?;
     }
 
     #[test]

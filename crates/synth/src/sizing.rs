@@ -46,10 +46,11 @@ pub struct Prepared {
 /// trials update it incrementally (a rejected step is restored exactly),
 /// and each new pass re-anchors it with [`Timing::retarget`], whose result
 /// is bit-identical to a fresh analysis at the new anchor. Besides its
-/// trials, a pass costs two linear timing sweeps, two linear slack scans
-/// and sorts of the frontier and of the (usually empty) late arrivals, and
-/// it makes the same trials in the same order as re-analysing and sorting
-/// every gate would.
+/// trials, a pass costs the re-timing of the kept steps' fanout cones, one
+/// backward pass over the network's flat topological index, two linear
+/// slack scans and sorts of the frontier and of the (usually empty) late
+/// arrivals, and it makes the same trials in the same order as
+/// re-analysing and sorting every gate would.
 pub fn size_for_min_delay(net: &mut Network, lib: &Library) -> f64 {
     let mut timing = Timing::analyze(net, lib, 0.0);
     let mut best = timing.critical_delay_ns(net);
