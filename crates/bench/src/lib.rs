@@ -44,29 +44,14 @@ pub fn run_one(profile: &Profile, lib: &Library, cfg: &FlowConfig) -> CircuitRun
     run_circuit(profile.name, &prepared, lib, cfg)
 }
 
-/// Runs the full 39-circuit experiment, invoking `progress` after each
-/// circuit (for live output from the binaries).
-pub fn run_all<F>(lib: &Library, cfg: &FlowConfig, mut progress: F) -> Vec<CircuitRun>
-where
-    F: FnMut(&CircuitRun),
-{
-    PROFILES
-        .iter()
-        .map(|p| {
-            let run = run_one(p, lib, cfg);
-            progress(&run);
-            run
-        })
-        .collect()
-}
-
 /// Runs the full 39-circuit experiment through the `dvs-sweep` worker
 /// pool, one scenario per circuit, on `jobs` workers.
 ///
-/// Results come back in table order and are value-identical to
-/// [`run_all`]'s — generation and measurement are fully seeded, and the
-/// CPU columns use per-thread clocks, so parallelism changes neither the
-/// numbers nor their order (asserted by `tests/parallel_tables.rs`).
+/// Results come back in table order and are value-identical to calling
+/// [`run_one`] on each profile in turn — generation and measurement are
+/// fully seeded, and the CPU columns use per-thread clocks, so
+/// parallelism changes neither the numbers nor their order (asserted by
+/// `tests/parallel_tables.rs`).
 pub fn run_all_parallel(lib: &Library, cfg: &FlowConfig, jobs: usize) -> Vec<CircuitRun> {
     let profiles: Vec<&Profile> = PROFILES.iter().collect();
     dvs_sweep::run_indexed(&profiles, jobs, |_, p| run_one(p, lib, cfg))

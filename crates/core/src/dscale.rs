@@ -59,8 +59,8 @@ fn greedy_conflict_free(edges: &[(usize, usize)], weights: &[u64]) -> Vec<usize>
 
 /// Runs the paper's `Dscale` algorithm on a prepared network.
 ///
-/// Phase 1 is a plain [`cvs`] pass ("exploit the timing slack near the
-/// primary outputs"). Each subsequent iteration:
+/// Phase 1 is a plain [`cvs`](crate::cvs()) pass ("exploit the timing
+/// slack near the primary outputs"). Each subsequent iteration:
 ///
 /// 1. `get_SlkSet` — static timing identifies positive-slack high gates;
 /// 2. `check_timing` — a [`DemotionPlan`] per candidate verifies that the
@@ -91,8 +91,8 @@ const PAR_MIN_GATES: usize = 128;
 /// One round of `Dscale` candidate scoring: the paper's `get_SlkSet` ∩
 /// `check_timing` filter plus the Eq. (1) power weighting, fanned out
 /// over `jobs` intra-circuit worker threads (sequential below
-/// [`PAR_MIN_GATES`] gates — the pool call and its deterministic metrics
-/// still happen, only the width drops).
+/// `PAR_MIN_GATES` = 128 gates — the pool call and its deterministic
+/// metrics still happen, only the width drops).
 ///
 /// Per-gate evaluation ([`FlowSession::plan_demotion`] +
 /// [`demotion_fits`] + the activity-weighted gain) is read-only against
@@ -132,11 +132,8 @@ pub fn score_candidates(
     .collect()
 }
 
-/// [`dscale`] running inside an existing [`FlowSession`]: the session's
-/// timing is kept incrementally consistent through every demotion and
-/// converter splice — no hot-path rebuild, no network clone. The returned
-/// [`DscaleOutcome::counters`] cover exactly this call.
-pub fn dscale_session(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> DscaleOutcome {
+/// The body of [`FlowSession::run_dscale`].
+pub(crate) fn dscale_session(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> DscaleOutcome {
     cfg.assert_valid();
     let _span = dvs_obs::span("dscale");
     let jobs = cfg.resolved_circuit_jobs();

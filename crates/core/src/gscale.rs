@@ -37,7 +37,7 @@ const MAX_PUSHES: usize = 5_000;
 
 /// Runs the paper's `Gscale` algorithm.
 ///
-/// Starts from a [`cvs`] cluster, then iterates:
+/// Starts from a [`cvs`](crate::cvs()) cluster, then iterates:
 ///
 /// 1. `get_CPN` — walk the exactly-critical fanin cone of the current
 ///    time-critical boundary (TCB);
@@ -61,12 +61,8 @@ pub fn gscale(net: &mut Network, lib: &Library, tspec_ns: f64, cfg: &FlowConfig)
     out
 }
 
-/// [`gscale`] running inside an existing [`FlowSession`]: the CVS-phase
-/// snapshot is an O(1) journal checkpoint instead of a whole-network clone,
-/// the power fallback is an O(changes) rollback, and every resize is
-/// absorbed by incremental STA. The returned [`GscaleOutcome::counters`]
-/// cover exactly this call.
-pub fn gscale_session(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> GscaleOutcome {
+/// The body of [`FlowSession::run_gscale`].
+pub(crate) fn gscale_session(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> GscaleOutcome {
     cfg.assert_valid();
     let _span = dvs_obs::span("gscale");
     // one-time cache construction is session setup, not phase cost —
@@ -107,22 +103,20 @@ pub fn gscale_session(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> GscaleOut
         iterations += 1;
         let _iter_span = dvs_obs::span("gscale.iter");
         let cpn = critical_path_network(sess.network(), sess.timing(), &tcb, cfg.guard_ns);
-        if sess.capture_enabled() {
-            if let Some(p) =
-                separator_problem(sess.network(), lib, sess.timing(), &cpn, &tcb, &banned)
-            {
-                sess.push_captured_separator(p);
-            }
+        let problem = separator_problem(sess.network(), lib, sess.timing(), &cpn, &tcb, &banned);
+        if let Some(p) = problem.as_ref().filter(|_| sess.capture_enabled()) {
+            sess.push_captured_separator(p.clone());
         }
-        let cut = match separator_of(sess.network(), lib, sess.timing(), &cpn, &tcb, &banned) {
-            Some((c, paths)) if !c.is_empty() => {
+        let cut = match problem.as_ref().and_then(min_vertex_separator) {
+            Some(sep) if !sep.nodes.is_empty() => {
+                let c: Vec<NodeId> = sep.nodes.iter().map(|&ix| cpn[ix]).collect();
                 // charge the max-flow work to the separator it bought,
                 // named by its first (lowest-topological) gate and size —
                 // stable for a given netlist, so deterministic across runs
                 dvs_obs::attr_add(
                     "flow.augmenting_paths",
                     || format!("{}+{}", sess.network().node(c[0]).name(), c.len() - 1),
-                    paths,
+                    sep.paths,
                 );
                 c
             }
@@ -401,11 +395,8 @@ fn critical_path_network(
 }
 
 /// Builds the weighted separator problem over the CPN. Returns `None`
-/// when the CPN or either terminal set is empty. Split from
-/// [`separator_of`] so [`FlowSession::capture_separators`] can hand the
-/// exact per-iteration problems to benchmarks without re-deriving the
-/// construction.
-pub(crate) fn separator_problem(
+/// when the CPN or either terminal set is empty.
+fn separator_problem(
     net: &Network,
     lib: &Library,
     timing: &Timing,
@@ -466,24 +457,6 @@ pub(crate) fn separator_problem(
         sources,
         sinks,
     })
-}
-
-/// Builds the weighted separator problem over the CPN and solves it.
-/// Returns `None` when no finite-weight separator exists.
-fn separator_of(
-    net: &Network,
-    lib: &Library,
-    timing: &Timing,
-    cpn: &[NodeId],
-    tcb: &[NodeId],
-    banned: &[bool],
-) -> Option<(Vec<NodeId>, u64)> {
-    let problem = separator_problem(net, lib, timing, cpn, tcb, banned)?;
-    let result = min_vertex_separator(&problem)?;
-    Some((
-        result.nodes.into_iter().map(|ix| cpn[ix]).collect(),
-        result.paths,
-    ))
 }
 
 /// `weight_with_area_versus_time_gain`: area penalty over net local timing

@@ -66,13 +66,10 @@ mod session;
 
 pub use audit::{audit, AuditError};
 pub use config::FlowConfig;
-// The CPU clocks moved to the observability crate (they time spans there
-// too); re-exported here so existing `dvs_core::CpuLap` callers keep
-// working unchanged.
 pub use cvs::{cvs, time_critical_boundary, CvsOutcome};
 pub use demote::{demotion_fits, DemotionPlan};
-pub use dscale::{dscale, dscale_session, score_candidates, DscaleOutcome};
-pub use dvs_obs::{thread_cpu_raw_ns, thread_cpu_time, CpuLap, CpuTimer};
-pub use gscale::{gscale, gscale_session, GscaleOutcome};
+pub use dscale::{dscale, score_candidates, DscaleOutcome};
+pub use dvs_obs::CpuTimer;
+pub use gscale::{gscale, GscaleOutcome};
 pub use report::{measure_power, run_circuit, AlgoReport, CircuitRun};
 pub use session::{FlowCounters, FlowSession};

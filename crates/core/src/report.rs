@@ -12,7 +12,7 @@ use dvs_power::{estimate, simulate};
 use dvs_synth::{total_area, Prepared};
 
 use crate::session::{FlowCounters, FlowSession};
-use crate::{CpuLap, FlowConfig};
+use crate::{CpuTimer, FlowConfig};
 
 /// Per-algorithm measurement record (one cell of Tables 1 and 2).
 #[derive(Debug, Clone)]
@@ -32,13 +32,13 @@ pub struct AlgoReport {
     /// Fractional area increase (Table 2 `AreaInc`).
     pub area_increase: f64,
     /// CPU time charged to the executing thread (Table 1 `CPU` analogue).
-    /// Measured with a telescoping per-thread lap clock ([`CpuLap`]) so
-    /// the column stays comparable between sequential runs and loaded
-    /// worker pools, and so sub-tick phases never lose time at phase
-    /// boundaries. It measures what actually ran: `Dscale`'s and
-    /// `Gscale`'s opening CVS is a replay of the CVS phase's pass (see
-    /// [`FlowSession::run_cvs`]), so the CPU cost of a standalone `Dscale`
-    /// run is `cvs.cpu + dscale.cpu`, and likewise for `Gscale`.
+    /// Measured with a per-thread clock ([`CpuTimer`]) so the column stays
+    /// comparable between sequential runs and loaded worker pools; power
+    /// measurement and audits between phases are nobody's time. It
+    /// measures what actually ran: `Dscale`'s and `Gscale`'s opening CVS
+    /// is a replay of the CVS phase's pass (see [`FlowSession::run_cvs`]),
+    /// so the CPU cost of a standalone `Dscale` run is
+    /// `cvs.cpu + dscale.cpu`, and likewise for `Gscale`.
     pub cpu: Duration,
     /// Session instrumentation scoped to this algorithm's phase: the
     /// rollback that restores the pristine network (one `full_analyses`)
@@ -119,7 +119,7 @@ fn report(
 /// the pristine mapped network replaces the per-algorithm whole-network
 /// clones of the old protocol, and an O(changes) rollback restores the
 /// starting point between phases. The rollback's single full re-analysis
-/// is billed to the *following* phase's CPU lap — exactly where the old
+/// is billed to the *following* phase's CPU time — exactly where the old
 /// protocol paid for its clone + from-scratch `Timing::analyze` — so the
 /// CPU columns stay comparable.
 ///
@@ -147,10 +147,10 @@ pub fn run_circuit(name: &str, prepared: &Prepared, lib: &Library, cfg: &FlowCon
 
     // CVS (the session constructor already paid the initial analysis, so
     // this phase's counter delta contains pure algorithm work)
-    let mut lap = CpuLap::start();
+    let cpu = CpuTimer::start();
     let c0 = *sess.counters();
     let _ = sess.run_cvs(cfg.guard_ns);
-    let cvs_cpu = lap.lap();
+    let cvs_cpu = cpu.elapsed();
     let cvs_sta = sess.counters().since(&c0);
     sess.audit(false).expect("CVS broke an invariant");
     // power measurement goes through the session's incremental engine;
@@ -170,11 +170,11 @@ pub fn run_circuit(name: &str, prepared: &Prepared, lib: &Library, cfg: &FlowCon
     );
 
     // Dscale
-    let _ = lap.lap(); // measurement/audit time is nobody's phase
+    let cpu = CpuTimer::start();
     let c0 = *sess.counters();
     sess.rollback(base);
     let d_out = sess.run_dscale(cfg);
-    let d_cpu = lap.lap();
+    let d_cpu = cpu.elapsed();
     let d_sta = sess.counters().since(&c0);
     sess.audit(true).expect("Dscale broke an invariant");
     let d_pwr = sess.measure_power(cfg);
@@ -191,11 +191,11 @@ pub fn run_circuit(name: &str, prepared: &Prepared, lib: &Library, cfg: &FlowCon
     );
 
     // Gscale
-    let _ = lap.lap();
+    let cpu = CpuTimer::start();
     let c0 = *sess.counters();
     sess.rollback(base);
     let g_out = sess.run_gscale(cfg);
-    let g_cpu = lap.lap();
+    let g_cpu = cpu.elapsed();
     let g_sta = sess.counters().since(&c0);
     sess.audit(false).expect("Gscale broke an invariant");
     let g_pwr = sess.measure_power(cfg);
@@ -237,8 +237,16 @@ mod tests {
             sim_vectors: 512,
             ..FlowConfig::default()
         };
+        let whole = CpuTimer::start();
         let run = run_circuit("x2", &prepared, &lib, &cfg);
+        let whole = whole.elapsed();
         assert!(run.org_pwr_uw > 0.0);
+        // every phase burns measurable thread CPU, and the phase clocks
+        // never bill more than the whole call consumed
+        for rep in [&run.cvs, &run.dscale, &run.gscale] {
+            assert!(rep.cpu > Duration::ZERO);
+        }
+        assert!(run.cvs.cpu + run.dscale.cpu + run.gscale.cpu <= whole);
         // improvements are consistent with measured powers
         for rep in [&run.cvs, &run.dscale, &run.gscale] {
             let expect = (run.org_pwr_uw - rep.power_uw) / run.org_pwr_uw * 100.0;

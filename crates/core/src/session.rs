@@ -514,12 +514,19 @@ impl<'l> FlowSession<'l> {
         }
     }
 
-    /// Runs the paper's `Dscale` inside the session; see [`crate::dscale`].
+    /// Runs the paper's [`crate::dscale`] inside the session: timing is
+    /// kept incrementally consistent through every demotion and converter
+    /// splice — no hot-path rebuild, no network clone. The returned
+    /// [`crate::DscaleOutcome::counters`] cover exactly this call.
     pub fn run_dscale(&mut self, cfg: &crate::FlowConfig) -> crate::DscaleOutcome {
         crate::dscale::dscale_session(self, cfg)
     }
 
-    /// Runs the paper's `Gscale` inside the session; see [`crate::gscale`].
+    /// Runs the paper's [`crate::gscale`] inside the session: the
+    /// CVS-phase snapshot is an O(1) journal checkpoint instead of a
+    /// whole-network clone, the power fallback is an O(changes) rollback,
+    /// and every resize is absorbed by incremental STA. The returned
+    /// [`crate::GscaleOutcome::counters`] cover exactly this call.
     pub fn run_gscale(&mut self, cfg: &crate::FlowConfig) -> crate::GscaleOutcome {
         crate::gscale::gscale_session(self, cfg)
     }

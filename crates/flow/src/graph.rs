@@ -131,8 +131,8 @@ impl FlowGraph {
     /// strict-increase-after-blocking-flow lemma keep the mix sound, and
     /// single-path instances (separator chains, spine circuits) cost
     /// precisely what the Edmonds–Karp oracle pays instead of an extra
-    /// exhaust sweep per phase. Graphs at or below the [`SMALL_N`]
-    /// cutoff stay in the fast lane for every phase.
+    /// exhaust sweep per phase. Graphs at or below the `SMALL_N` = 128
+    /// node cutoff stay in the fast lane for every phase.
     ///
     /// The augmentation schedule is fully deterministic (adjacency order
     /// is insertion order, the fast lane and the current-arc DFS are

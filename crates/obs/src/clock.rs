@@ -9,40 +9,17 @@
 //!
 //! ## Precision contract
 //!
-//! [`thread_cpu_raw_ns`] reads the best thread-CPU clock the platform
-//! offers, in strict preference order:
+//! [`thread_cpu_raw_ns`] is the one thread-CPU source: on Linux x86-64 it
+//! issues `clock_gettime(CLOCK_THREAD_CPUTIME_ID)` as a raw syscall (no
+//! libc binding needed). The reading has nanosecond resolution *including
+//! the currently running timeslice* — the kernel adds the time since the
+//! last scheduler update at read time — so even sub-millisecond phases
+//! report non-zero CPU. Spans, sweep rows and the Table 1 columns all read
+//! it.
 //!
-//! 1. **`clock_gettime(CLOCK_THREAD_CPUTIME_ID)`** (Linux x86-64, raw
-//!    syscall — no libc binding needed). Nanosecond resolution *including
-//!    the currently running timeslice*: the kernel adds the time since the
-//!    last scheduler update at read time, so even sub-tick phases report
-//!    non-zero CPU. This is the primary source; sub-millisecond phases no
-//!    longer read as 0.
-//! 2. **`/proc/thread-self/schedstat`** (other Linux targets): cumulative
-//!    on-CPU nanoseconds maintained by the scheduler. Only advances at
-//!    scheduler accounting boundaries (timer ticks and context switches —
-//!    typically every 1–10 ms), so a phase shorter than one tick can read
-//!    as zero even though it burned real CPU.
-//! 3. **Monotonic wall clock** fallback everywhere else (includes
-//!    descheduled time — identical to the pre-PR-2 behaviour).
-//!
-//! All reads within a process use the same source, so deltas are always
-//! taken on one consistent counter.
-//!
-//! ## Tick granularity and lap telescoping
-//!
-//! Under the tick-granular schedstat source, chopping a run into phases
-//! with independent [`CpuTimer`]s *truncates at every boundary*: each
-//! sub-tick remainder is dropped, and the per-phase columns can sum to
-//! much less than the run's true cost. [`CpuLap`] mitigates this by
-//! carrying one raw nanosecond accumulator across phase boundaries — each
-//! lap is the exact counter movement since the previous lap, so the laps
-//! telescope: their sum always equals the total counter movement over the
-//! whole run, with nothing truncated away. Individual sub-tick laps can
-//! still read 0 (the counter simply has not moved yet), but the missing
-//! time then surfaces in the lap where the tick lands instead of
-//! vanishing. With the `clock_gettime` source the same telescoping holds,
-//! and individual laps are additionally nanosecond-exact.
+//! Everywhere else it returns `None`, and [`CpuTimer`] falls back to the
+//! monotonic wall clock, which also bills descheduled time. That is the
+//! one fallback; span `cpu_ns` fields read 0 there.
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -59,21 +36,21 @@ pub fn wall_ns() -> u64 {
     epoch.elapsed().as_nanos() as u64
 }
 
-/// Raw `clock_gettime(CLOCK_THREAD_CPUTIME_ID)` on Linux x86-64, issued
-/// as a direct syscall so the std-only crate needs no libc binding. The
-/// one place the crate opts back into `unsafe`: a single `syscall`
-/// instruction writing a 16-byte `timespec` to a stack buffer we own.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-mod thread_clock {
-    #![allow(unsafe_code)]
-
-    const SYS_CLOCK_GETTIME: i64 = 228;
-    const CLOCK_THREAD_CPUTIME_ID: i64 = 3;
-
-    /// This thread's CPU time in nanoseconds, or `None` if the syscall
-    /// fails (it cannot for a valid clock id and pointer, but the error
-    /// path costs nothing to keep honest).
-    pub fn now_ns() -> Option<u64> {
+/// This thread's cumulative on-CPU time in nanoseconds, or `None` off
+/// Linux x86-64 (see the module-level *precision contract*).
+///
+/// `clock_gettime(CLOCK_THREAD_CPUTIME_ID)` is issued as a direct syscall
+/// so the std-only crate needs no libc binding: the one place the crate
+/// opts back into `unsafe`, a single `syscall` instruction writing a
+/// 16-byte `timespec` to a stack buffer we own. The syscall cannot fail
+/// for a valid clock id and pointer, but a nonzero return still reads as
+/// `None`.
+#[allow(unsafe_code)]
+pub fn thread_cpu_raw_ns() -> Option<u64> {
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    {
+        const SYS_CLOCK_GETTIME: i64 = 228;
+        const CLOCK_THREAD_CPUTIME_ID: i64 = 3;
         let mut ts = [0i64; 2]; // timespec: tv_sec, tv_nsec
         let ret: i64;
         // SAFETY: SYS_clock_gettime only writes 16 bytes through rsi,
@@ -96,49 +73,21 @@ mod thread_clock {
                 .saturating_add(ts[1] as u64)
         })
     }
-}
-
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-mod thread_clock {
-    pub fn now_ns() -> Option<u64> {
+    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+    {
         None
     }
 }
 
-/// Reads this thread's cumulative on-CPU time as raw nanoseconds, if the
-/// platform exposes it. See the module-level *precision contract* for the
-/// source preference order and the resolution of each source.
-///
-/// Linux x86-64: `clock_gettime(CLOCK_THREAD_CPUTIME_ID)` via raw syscall
-/// — nanosecond resolution including the running timeslice. Other Linux:
-/// first field of `/proc/thread-self/schedstat`, nanoseconds spent
-/// executing (maintained even when `CONFIG_SCHEDSTATS` is off since it
-/// feeds `clock_gettime`'s accounting), tick-granular. Elsewhere: `None`.
-pub fn thread_cpu_raw_ns() -> Option<u64> {
-    if let Some(ns) = thread_clock::now_ns() {
-        return Some(ns);
-    }
-    let text = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
-    let first = text.split_whitespace().next()?;
-    first.parse::<u64>().ok()
-}
-
-/// Reads this thread's cumulative on-CPU time, if the platform exposes it.
-///
-/// [`thread_cpu_raw_ns`] wrapped in a [`Duration`].
-pub fn thread_cpu_time() -> Option<Duration> {
-    thread_cpu_raw_ns().map(Duration::from_nanos)
-}
-
 /// A started clock measuring CPU time consumed by the calling thread.
 ///
-/// Start and stop on the *same* thread — the schedstat handle is
+/// Start and stop on the *same* thread — the thread-CPU clock is
 /// per-thread, so an elapsed read from another thread would subtract
 /// unrelated counters. (With the wall-clock fallback the reading is
 /// thread-independent but includes descheduled time.)
 #[derive(Debug, Clone, Copy)]
 pub struct CpuTimer {
-    cpu_start: Option<Duration>,
+    cpu_start: Option<u64>,
     wall_start: Instant,
 }
 
@@ -146,7 +95,7 @@ impl CpuTimer {
     /// Starts a timer on the calling thread.
     pub fn start() -> Self {
         CpuTimer {
-            cpu_start: thread_cpu_time(),
+            cpu_start: thread_cpu_raw_ns(),
             wall_start: Instant::now(),
         }
     }
@@ -154,52 +103,9 @@ impl CpuTimer {
     /// CPU time this thread consumed since [`CpuTimer::start`], falling
     /// back to elapsed wall time when no thread clock is available.
     pub fn elapsed(&self) -> Duration {
-        match (self.cpu_start, thread_cpu_time()) {
-            (Some(start), Some(now)) => now.saturating_sub(start),
+        match (self.cpu_start, thread_cpu_raw_ns()) {
+            (Some(start), Some(now)) => Duration::from_nanos(now.saturating_sub(start)),
             _ => self.wall_start.elapsed(),
-        }
-    }
-}
-
-/// A lap clock over the thread CPU counter that never drops time at phase
-/// boundaries.
-///
-/// Each [`CpuLap::lap`] returns the raw counter movement since the
-/// previous lap and re-arms from the *value just read* (not a second
-/// read), so consecutive laps telescope: their sum equals the total
-/// counter delta across all of them. Use one `CpuLap` across a multi-phase
-/// protocol instead of one [`CpuTimer`] per phase — see the module docs
-/// for why per-phase timers under-report on sub-tick phases.
-///
-/// Same thread-affinity rule as [`CpuTimer`]: lap on the thread that
-/// started the clock. Falls back to wall time when no thread clock exists.
-#[derive(Debug, Clone, Copy)]
-pub struct CpuLap {
-    cpu_last: Option<u64>,
-    wall_last: Instant,
-}
-
-impl CpuLap {
-    /// Arms the lap clock on the calling thread.
-    pub fn start() -> Self {
-        CpuLap {
-            cpu_last: thread_cpu_raw_ns(),
-            wall_last: Instant::now(),
-        }
-    }
-
-    /// Returns the CPU time consumed since the previous lap (or since
-    /// [`CpuLap::start`]) and re-arms the clock from the reading itself.
-    pub fn lap(&mut self) -> Duration {
-        let wall_now = Instant::now();
-        let wall = wall_now.duration_since(self.wall_last);
-        self.wall_last = wall_now;
-        match (self.cpu_last, thread_cpu_raw_ns()) {
-            (Some(last), Some(now)) => {
-                self.cpu_last = Some(now);
-                Duration::from_nanos(now.saturating_sub(last))
-            }
-            _ => wall,
         }
     }
 }
@@ -233,57 +139,27 @@ mod tests {
         assert!(cpu <= t.wall_start.elapsed() + Duration::from_millis(20));
     }
 
-    #[test]
-    fn laps_telescope_to_the_total() {
-        if thread_cpu_raw_ns().is_none() {
-            return; // wall fallback has no counter to telescope
-        }
-        let mut lap = CpuLap::start();
-        let start = lap.cpu_last.unwrap();
-        let mut total = Duration::ZERO;
-        let t0 = Instant::now();
-        let mut acc = 1u64;
-        for i in 0..8u32 {
-            let deadline = Duration::from_millis(5 * u64::from(i) + 5);
-            while t0.elapsed() < deadline {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-            }
-            std::hint::black_box(acc);
-            total += lap.lap();
-        }
-        // the laps re-arm from the value they read, so they must sum
-        // exactly to the counter movement between first arm and last lap
-        let after = lap.cpu_last.unwrap();
-        assert_eq!(
-            total,
-            Duration::from_nanos(after - start),
-            "laps must sum exactly to the counter delta"
-        );
-    }
-
-    /// The precise `clock_gettime` source must resolve sub-tick work: a
-    /// ~200 µs spin (far below the 1–10 ms schedstat tick) has to move the
-    /// counter. Only meaningful where the syscall path exists.
+    /// The syscall source resolves sub-tick work: a ~200 µs spin (far
+    /// below a 1–10 ms scheduler tick) must read as nonzero CPU through
+    /// the public timer. Only meaningful where the syscall path exists.
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     #[test]
     fn sub_tick_spin_reads_nonzero_cpu() {
-        let start = thread_cpu_raw_ns().expect("syscall clock available");
-        let t0 = Instant::now();
+        let t = CpuTimer::start();
         let mut acc = 1u64;
-        while t0.elapsed() < Duration::from_micros(200) {
+        while t.wall_start.elapsed() < Duration::from_micros(200) {
             acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
         }
         std::hint::black_box(acc);
-        let end = thread_cpu_raw_ns().expect("syscall clock available");
         assert!(
-            end > start,
-            "200µs spin moved the thread-CPU clock by 0 ns (tick-granular source?)"
+            t.elapsed() > Duration::ZERO,
+            "200µs spin read as 0 ns of thread CPU"
         );
     }
 
     #[test]
     fn sleeping_is_not_charged_when_thread_clock_exists() {
-        if thread_cpu_time().is_none() {
+        if thread_cpu_raw_ns().is_none() {
             return; // wall fallback: nothing to assert
         }
         let t = CpuTimer::start();

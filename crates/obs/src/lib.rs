@@ -60,7 +60,7 @@
 //! ```
 
 // `deny` rather than `forbid`: the thread-CPU clock opts back in for one
-// contained raw `clock_gettime` syscall (see `clock::thread_clock`).
+// contained raw `clock_gettime` syscall (see `clock::thread_cpu_raw_ns`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -77,7 +77,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, RwLock};
 
 pub use attr::{AttrRollup, AttrSite};
-pub use clock::{thread_cpu_raw_ns, thread_cpu_time, wall_ns, CpuLap, CpuTimer};
+pub use clock::{thread_cpu_raw_ns, wall_ns, CpuTimer};
 pub use record::{bucket_lo, bucket_of, Hist, InstantRecord, SpanRecord, HIST_BUCKETS};
 pub use recorder::{HistRollup, ObsMark, Recorder, Rollup, SpanRollup, Trace};
 

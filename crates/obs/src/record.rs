@@ -28,12 +28,10 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// Wall duration, ns.
     pub dur_ns: u64,
-    /// On-CPU nanoseconds the owning thread spent inside the span (raw
-    /// thread-CPU counter movement — the same clock [`crate::CpuLap`]
-    /// laps; see [`crate::thread_cpu_raw_ns`] for the per-platform
-    /// precision contract. 0 where the platform offers no thread clock,
-    /// or under the tick-granular schedstat fallback when the span was
-    /// shorter than a scheduler tick).
+    /// On-CPU nanoseconds the owning thread spent inside the span: the
+    /// movement of [`crate::thread_cpu_raw_ns`], the same clock
+    /// [`crate::CpuTimer`] reads. 0 where the platform offers no thread
+    /// clock.
     pub cpu_ns: u64,
 }
 

@@ -337,9 +337,9 @@ pub struct HistRollup {
     pub count: u64,
     /// Saturating sum of samples.
     pub sum: u64,
-    /// Bucket lower bound of the smallest windowed sample (bucket
-    /// resolution by design; see [`HistRollup::from_window`]). 0 when
-    /// empty.
+    /// Bucket lower bound of the smallest windowed sample, not the exact
+    /// extreme: rollups report histograms at bucket resolution
+    /// throughout. 0 when empty.
     pub min: u64,
     /// Bucket lower bound of the largest windowed sample.
     pub max: u64,

@@ -3,9 +3,9 @@
 //!
 //! Joins the scenarios of an old and a new `BENCH_sweep.json` by id and
 //! reports per-scenario power / improvement / runtime deltas (new − old),
-//! plus ids present on only one side. Both documents must carry a schema
-//! tag this crate can read ([`READABLE_SCHEMAS`]) — anything else is an
-//! error, which the CLI turns into a nonzero exit.
+//! plus ids present on only one side. Both documents must carry the
+//! current schema tag ([`crate::SCHEMA`]) — anything else is an error,
+//! which the CLI turns into a nonzero exit.
 //!
 //! When both sides carry per-scenario `obs` objects, the diff
 //! additionally reports per-phase **self-time** deltas
@@ -19,12 +19,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 use crate::json::Json;
-
-/// Schema tags [`compare`] can read. `v7` differs from `v6` only in
-/// counters the diff does not consume (`sta.hot_rebuilds`,
-/// `sta.rebuilds_avoided` and the `session.*` entries of `obs.counters`),
-/// so the two mix freely.
-pub const READABLE_SCHEMAS: [&str; 2] = ["dvs-sweep/v6", "dvs-sweep/v7"];
+use crate::SCHEMA;
 
 /// Per-algorithm deltas of one scenario, new − old.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -294,10 +289,9 @@ fn schema_of(doc: &Json, which: &str) -> Result<String, String> {
         .get("schema")
         .and_then(Json::as_str)
         .ok_or_else(|| format!("{which} document has no `schema` string"))?;
-    if !READABLE_SCHEMAS.contains(&s) {
+    if s != SCHEMA {
         return Err(format!(
-            "{which} document has unsupported schema `{s}` (can read: {})",
-            READABLE_SCHEMAS.join(", ")
+            "{which} document has unsupported schema `{s}` (can read: {SCHEMA})"
         ));
     }
     Ok(s.to_owned())
@@ -397,7 +391,7 @@ mod tests {
     #[test]
     fn joins_by_id_and_reports_deltas_and_orphans() {
         let old = doc(
-            "dvs-sweep/v6",
+            "dvs-sweep/v7",
             vec![scenario("a/s0", 100.0), scenario("gone/s0", 50.0)],
         );
         let new = doc(
@@ -405,7 +399,7 @@ mod tests {
             vec![scenario("a/s0", 90.0), scenario("fresh/s0", 10.0)],
         );
         let cmp = compare(&old, &new).expect("well-formed documents");
-        assert_eq!(cmp.old_schema, "dvs-sweep/v6");
+        assert_eq!(cmp.old_schema, "dvs-sweep/v7");
         assert_eq!(cmp.new_schema, "dvs-sweep/v7");
         assert_eq!(cmp.deltas.len(), 1);
         let d = &cmp.deltas[0];
@@ -451,21 +445,18 @@ mod tests {
     }
 
     #[test]
-    fn v7_documents_are_readable_and_mix_with_v6() {
-        let old = doc("dvs-sweep/v6", vec![scenario("a/s0", 100.0)]);
-        let new = doc("dvs-sweep/v7", vec![scenario("a/s0", 99.0)]);
-        let cmp = compare(&old, &new).expect("v6 vs v7 must join");
-        assert_eq!(cmp.deltas.len(), 1);
-        assert_eq!(cmp.new_schema, "dvs-sweep/v7");
-        // pre-v6 documents are no longer readable
-        let v5 = doc("dvs-sweep/v5", vec![]);
-        assert!(compare(&v5, &new).is_err());
+    fn v6_documents_are_rejected() {
+        let v6 = doc("dvs-sweep/v6", vec![scenario("a/s0", 100.0)]);
+        let v7 = doc("dvs-sweep/v7", vec![scenario("a/s0", 99.0)]);
+        let err = compare(&v6, &v7).unwrap_err();
+        assert!(err.contains("unsupported schema `dvs-sweep/v6`"), "{err}");
+        assert!(compare(&v7, &v6).is_err());
     }
 
     #[test]
     fn obs_documents_diff_phase_self_times() {
         let old = doc(
-            "dvs-sweep/v6",
+            "dvs-sweep/v7",
             vec![with_obs(
                 scenario("a/s0", 100.0),
                 obs(vec![("cvs", 1, 1_000_000), ("gscale", 2, 5_000_000)]),

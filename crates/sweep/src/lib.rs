@@ -139,10 +139,10 @@
 //! attacking site by site (the CLI's `--attr-summary` prints exactly
 //! that view).
 //!
-//! `v6` (intra-circuit parallelism) added two fields to each `sta`
-//! object — `par_tasks` / `par_batches`, the deterministic work-shape of
-//! the parallel paths (Dscale candidate-scoring fan-outs and wavefront
-//! power-refresh levels) — plus the `pool.*` counter/histogram families
+//! `v6` added the intra-circuit parallelism fields: each `sta` object's
+//! `par_tasks` / `par_batches`, the deterministic work-shape of the
+//! parallel paths (Dscale candidate-scoring fan-outs and wavefront
+//! power-refresh levels), plus the `pool.*` counter/histogram families
 //! in the `obs` rollup (`pool.tasks`, `pool.batches`, `pool.batch_items`
 //! — for the wavefront simulator the level-width distribution). All of
 //! them are pure functions of the scenario's network, **not** of the
@@ -153,10 +153,8 @@
 //! nondeterministic execution split (`pool.tasks_per_worker`) is emitted
 //! from the worker threads and therefore never enters a scenario rollup.
 //!
-//! `v7` removed two counters that carried no information — `hot_rebuilds`
-//! (always zero) and `rebuilds_avoided` (always `converters_inserted +
-//! converters_removed`) — from each `sta` object, and the `session.*`
-//! counters that mirrored the `sta` objects from `obs.counters`.
+//! `v7` is the last version bump: new fields are additive and do not bump
+//! the version, and readers ignore unknown keys.
 //!
 //! All `cpu_s` fields are **per-thread** CPU seconds
 //! ([`dvs_core::CpuTimer`]), so a loaded pool reports the same CPU cost as
@@ -169,7 +167,7 @@
 //! present on only one side; when both sides carry `obs` rollups it also
 //! diffs the per-phase self-times. The CLI's
 //! `--compare OLD.json` prints the rendered table after a sweep and exits
-//! nonzero when `OLD.json` has a schema tag outside [`READABLE_SCHEMAS`];
+//! nonzero when `OLD.json` has a schema tag other than [`SCHEMA`];
 //! `--gate` additionally fails the run when power or improvement moved
 //! beyond tolerance ([`Comparison::gate`]) — the committed
 //! `BENCH_reference.json` plus this gate is the CI measurement-regression
@@ -201,7 +199,7 @@ mod grid;
 mod progress;
 mod runner;
 
-pub use compare::{compare, AlgoDelta, Comparison, PhaseDelta, ScenarioDelta, READABLE_SCHEMAS};
+pub use compare::{compare, AlgoDelta, Comparison, PhaseDelta, ScenarioDelta};
 pub use dvs_pool::{default_jobs, run_indexed};
 pub use grid::{ConfigVariant, Grid, Scenario};
 pub use progress::Progress;

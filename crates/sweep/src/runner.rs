@@ -11,18 +11,9 @@ use crate::grid::{Grid, Scenario};
 use crate::json::Json;
 use dvs_pool as pool;
 
-/// The schema tag written into (and expected from) sweep JSON documents.
-/// `v2` added the per-algorithm `sta` counter objects; `v3` added the
-/// per-scenario `obs` rollup (span self-times, counters, gauges and
-/// log₂-bucket histograms from the `dvs-obs` registry); `v4` added the
-/// per-scenario `attr` block (per-domain site attribution: totals, top-K
-/// sites and concentration — see the crate docs for the field table);
-/// `v5` added the incremental-power fields to each `sta` object
-/// (`full_power`, `power_resims`, `full_power_avoided`); `v6` added the
-/// intra-circuit parallelism fields `par_tasks`/`par_batches` to each
-/// `sta` object and the deterministic `pool.*` families to the `obs`
-/// rollup; `v7` dropped `hot_rebuilds`/`rebuilds_avoided` from `sta` and
-/// the `session.*` counter mirror from `obs`.
+/// The schema tag written into sweep JSON documents, and the only one
+/// [`crate::compare`] reads. New fields are additive and do not bump it;
+/// see the crate docs for the field reference.
 pub const SCHEMA: &str = "dvs-sweep/v7";
 
 /// Flat per-algorithm numbers of one scenario (one `Table 1` + `Table 2`
