@@ -99,16 +99,17 @@ const PAR_MIN_GATES: usize = 128;
 /// `(network, timing, activities)`, and the pool re-merges results in
 /// gate-id order, so the returned vector is **bit-identical** to a
 /// sequential scan for every `jobs` value — the determinism contract the
-/// `--circuit-jobs` byte-compare in CI rests on.
+/// `--circuit-jobs` byte-compare in CI rests on. Also returns the number
+/// of gates scanned.
 pub fn score_candidates(
     sess: &FlowSession<'_>,
     acts: &Activities,
     cfg: &FlowConfig,
     jobs: usize,
-) -> Vec<(NodeId, DemotionPlan, f64)> {
+) -> (Vec<(NodeId, DemotionPlan, f64)>, usize) {
     let gates: Vec<NodeId> = sess.network().gate_ids().collect();
     let jobs = dvs_pool::effective_jobs(jobs, gates.len(), PAR_MIN_GATES);
-    dvs_pool::run_indexed(&gates, jobs, |_, &g| {
+    let cand = dvs_pool::run_indexed(&gates, jobs, |_, &g| {
         if sess.timing().slack_ns(g) <= cfg.guard_ns {
             return None;
         }
@@ -126,10 +127,8 @@ pub fn score_candidates(
             return None;
         }
         Some((g, plan, gain_uw))
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    });
+    (cand.into_iter().flatten().collect(), gates.len())
 }
 
 /// The body of [`FlowSession::run_dscale`].
@@ -156,17 +155,17 @@ pub(crate) fn dscale_session(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> Ds
         // SlkSet ∩ check_timing → candidates with positive net gain,
         // scored on the intra-circuit worker pool; the gate-id-order
         // merge makes the vector bit-identical to a sequential scan
-        let scanned = sess.network().gate_ids().count() as u64;
-        let cand = score_candidates(sess, &acts, cfg, jobs);
-        sess.note_parallel(scanned, 1);
+        let (cand, scanned) = score_candidates(sess, &acts, cfg, jobs);
+        sess.note_parallel(scanned as u64, 1);
         if cand.is_empty() {
             break;
         }
         iterations += 1;
 
-        // Transitive conflict graph over the candidates. Restricted to the
-        // candidate subset so closure memory scales with the candidate
-        // count, not the (possibly 100×-scaled) network size.
+        // Transitive conflict graph over the candidates, computed over
+        // their descendant cone only: closure memory scales with the
+        // candidate count and time with the cone, not with the (possibly
+        // 100×-scaled) network.
         let cand_nodes: Vec<NodeId> = cand.iter().map(|&(g, _, _)| g).collect();
         let reach = SubsetReach::among(sess.network(), &cand_nodes);
         let mut edges = Vec::new();
@@ -210,19 +209,40 @@ pub(crate) fn dscale_session(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> Ds
         // Level-restoration cleanup: a converter whose sinks all went low
         // in this round is pure overhead; bypass it (verified below by the
         // constraint assertion on the incrementally maintained timing).
+        // Round 1 scans every gate, so converters the caller brought along
+        // are cleaned too. Afterwards no stale converter survives a round,
+        // and a round changes only the picked gates' rails and fanout
+        // lists (converters are never candidates), so a converter can
+        // only have gone stale by feeding a picked gate.
         let stale: Vec<NodeId> = {
             let net = sess.network();
-            net.gate_ids()
-                .filter(|&c| {
-                    net.node(c).is_converter()
-                        && !net.drives_output(c)
-                        && !net.fanouts(c).is_empty()
-                        && net.fanouts(c).iter().all(|&s| {
-                            let sn = net.node(s);
-                            sn.rail() == Rail::Low && !sn.is_converter()
-                        })
-                })
-                .collect()
+            let is_stale = |c: NodeId| {
+                net.node(c).is_converter()
+                    && !net.drives_output(c)
+                    && !net.fanouts(c).is_empty()
+                    && net.fanouts(c).iter().all(|&s| {
+                        let sn = net.node(s);
+                        sn.rail() == Rail::Low && !sn.is_converter()
+                    })
+            };
+            let full_scan = || net.gate_ids().filter(|&c| is_stale(c)).collect::<Vec<_>>();
+            if iterations == 1 {
+                full_scan()
+            } else {
+                let mut near: Vec<NodeId> = picked
+                    .iter()
+                    .flat_map(|&ix| net.fanins(cand[ix].0).iter().copied())
+                    .collect();
+                near.sort_unstable();
+                near.dedup();
+                near.retain(|&c| is_stale(c));
+                debug_assert_eq!(
+                    near,
+                    full_scan(),
+                    "a stale converter escaped the picks' fanins"
+                );
+                near
+            }
         };
         for c in stale {
             sess.remove_converter(c)

@@ -72,9 +72,11 @@ proptest! {
         let sess = FlowSession::new(net, &lib, nominal * tspec_scale);
         let acts = simulate(sess.network(), &lib, cfg.sim_vectors, cfg.sim_seed);
 
-        let base = score_candidates(&sess, &acts, &cfg, 1);
+        let (base, scanned) = score_candidates(&sess, &acts, &cfg, 1);
+        prop_assert_eq!(scanned, sess.network().gate_count());
         for jobs in [2usize, 4] {
-            let wide = score_candidates(&sess, &acts, &cfg, jobs);
+            let (wide, wide_scanned) = score_candidates(&sess, &acts, &cfg, jobs);
+            prop_assert_eq!(scanned, wide_scanned, "scanned at jobs={}", jobs);
             prop_assert_eq!(base.len(), wide.len(), "len at jobs={}", jobs);
             for (a, b) in base.iter().zip(wide.iter()) {
                 prop_assert_eq!(a.0, b.0, "gate order at jobs={}", jobs);

@@ -14,8 +14,9 @@
 //!   nodes, produced by the [`blif`] reader and consumed by the technology
 //!   mapper in `dvs-synth`.
 //!
-//! Shared utilities: topological ordering ([`Network::topo_order`]), logic
-//! levels, reachability bitsets ([`ReachMatrix`]), in-place rewiring used for
+//! Shared utilities: topological ordering ([`Network::topo_order`], and
+//! [`FanoutCone`] for one seed set's descendant cone), logic levels,
+//! candidate-subset reachability ([`SubsetReach`]), in-place rewiring used for
 //! level-converter insertion/removal, structural validation and statistics.
 //! All flow-facing mutations can additionally be recorded in an invertible
 //! edit journal ([`Network::enable_journal`]), giving O(changes)
@@ -61,8 +62,8 @@ mod validate;
 pub use error::NetlistError;
 pub use journal::Checkpoint;
 pub use network::{CellRef, Network, Node, NodeId, NodeKind, Rail, SizeIx};
-pub use reach::{ReachMatrix, SubsetReach};
+pub use reach::SubsetReach;
 pub use sop::{Cube, SopCover, SopNetwork, SopNode, SopNodeId};
 pub use stats::NetworkStats;
-pub use topo::Levels;
+pub use topo::{FanoutCone, Levels};
 pub use validate::ArityOracle;

@@ -1,91 +1,18 @@
-use crate::{Network, NodeId};
+use crate::{FanoutCone, Network, NodeId};
 
-/// Dense reachability matrix over a network's nodes, stored as one bitset
-/// row per node.
+/// Reachability among a subset of a network's nodes: which candidate
+/// reaches which through a non-empty directed path.
 ///
-/// `Dscale` needs the *transitive* conflict graph of its candidate set: two
-/// candidates conflict when one reaches the other through any path, because
-/// simultaneous voltage reduction on one path accumulates delay. Rows are
-/// computed in one reverse-topological sweep by OR-ing fanout rows, giving
-/// `O(n·e/64)` time and `O(n²/64)` memory — comfortably small for the MCNC
-/// profile sizes (≤ ~3000 gates).
-///
-/// # Example
-///
-/// ```
-/// use dvs_netlist::{Network, CellRef, ReachMatrix};
-///
-/// let mut net = Network::new("r");
-/// let a = net.add_input("a");
-/// let g1 = net.add_gate("g1", CellRef(0), &[a]);
-/// let g2 = net.add_gate("g2", CellRef(0), &[g1]);
-/// net.add_output("o", g2);
-///
-/// let reach = ReachMatrix::of(&net);
-/// assert!(reach.reaches(g1, g2));
-/// assert!(!reach.reaches(g2, g1));
-/// assert!(!reach.reaches(g1, g1)); // irreflexive
-/// ```
-#[derive(Debug, Clone)]
-pub struct ReachMatrix {
-    words_per_row: usize,
-    bits: Vec<u64>,
-}
-
-impl ReachMatrix {
-    /// Computes reachability for all live nodes of `net`.
-    pub fn of(net: &Network) -> Self {
-        let n = net.node_count();
-        let words_per_row = n.div_ceil(64);
-        let mut bits = vec![0u64; n * words_per_row];
-        // Reverse topological order: every node's fanouts are finalised
-        // before the node itself, so one OR pass per edge suffices.
-        for &id in net.reverse_topo_order().iter() {
-            let row_base = id.index() * words_per_row;
-            for &fo in net.fanouts(id) {
-                let fo_base = fo.index() * words_per_row;
-                // self-bit of the fanout
-                bits[row_base + fo.index() / 64] |= 1u64 << (fo.index() % 64);
-                // everything the fanout reaches
-                for w in 0..words_per_row {
-                    let v = bits[fo_base + w];
-                    bits[row_base + w] |= v;
-                }
-            }
-        }
-        ReachMatrix {
-            words_per_row,
-            bits,
-        }
-    }
-
-    /// Returns `true` if there is a non-empty directed path from `from` to
-    /// `to`. The relation is irreflexive: `reaches(x, x)` is `false` for
-    /// acyclic networks.
-    #[inline]
-    pub fn reaches(&self, from: NodeId, to: NodeId) -> bool {
-        let w = self.bits[from.index() * self.words_per_row + to.index() / 64];
-        w >> (to.index() % 64) & 1 == 1
-    }
-
-    /// Returns `true` if the two nodes are comparable (either reaches the
-    /// other), i.e. they lie on a common path.
-    #[inline]
-    pub fn comparable(&self, a: NodeId, b: NodeId) -> bool {
-        self.reaches(a, b) || self.reaches(b, a)
-    }
-}
-
-/// Reachability restricted to a candidate subset, for networks where the
-/// dense [`ReachMatrix`] no longer fits.
-///
-/// `Dscale` only ever asks whether one *candidate* reaches another, yet
-/// [`ReachMatrix`] pays `O(n²/64)` memory over all `n` nodes — ~10 GB for
-/// a 100×-scaled `des`. `SubsetReach` propagates `k`-bit candidate sets
-/// (`k` = candidate count) in one reverse-topological sweep and frees each
-/// node's transient row as soon as its last reader is done, so peak memory
-/// is `O(frontier·k/64)` transient plus the `O(k²/64)` answer. Time stays
-/// one OR pass per edge.
+/// `Dscale` needs the *transitive* conflict graph of its candidate set:
+/// two candidates conflict when one reaches the other through any path,
+/// because simultaneous voltage reduction on one path accumulates delay.
+/// [`SubsetReach::among`] walks only the candidates' descendant cone
+/// ([`FanoutCone`]) fanins-first, propagating for every cone node the
+/// `k`-bit set of candidates that reach it (`k` = candidate count), and
+/// transposes the candidates' sets into `from → to` rows. Time is
+/// `O(cone + cone edges · k/64)`; a row lives only from its first fanin
+/// push to its own turn, so transient memory is `O(frontier · k/64)`,
+/// plus the `O(k²/64)` answer.
 ///
 /// # Example
 ///
@@ -101,6 +28,7 @@ impl ReachMatrix {
 /// let reach = SubsetReach::among(&net, &[g1, g2]);
 /// assert!(reach.reaches(0, 1));            // g1 → g2
 /// assert!(!reach.reaches(1, 0));
+/// assert!(!reach.reaches(0, 0));           // irreflexive
 /// assert_eq!(reach.reachable_from(0).collect::<Vec<_>>(), vec![1]);
 /// ```
 #[derive(Debug, Clone)]
@@ -112,49 +40,69 @@ pub struct SubsetReach {
 impl SubsetReach {
     /// Computes, for every node of `nodes`, the subset of `nodes` it
     /// reaches through any directed path. Indices into `nodes` are the
-    /// coordinates of all queries.
+    /// coordinates of all queries. `nodes` must be distinct; a dead node
+    /// reaches nothing and is reached by nothing.
     pub fn among(net: &Network, nodes: &[NodeId]) -> Self {
         let k = nodes.len();
         let words = k.div_ceil(64).max(1);
-        let mut cand_ix: Vec<u32> = vec![u32::MAX; net.node_count()];
-        for (i, &n) in nodes.iter().enumerate() {
-            cand_ix[n.index()] = i as u32;
-        }
-        // Row of node `m` is read once per edge into `m`; free it after
-        // the last read so only the live frontier stays resident.
-        let mut pending_reads: Vec<u32> = vec![0; net.node_count()];
-        for id in net.node_ids() {
-            for &fo in net.fanouts(id) {
-                pending_reads[fo.index()] += 1;
+        let cone = FanoutCone::of(net, nodes.iter().copied());
+        let order = cone.order();
+        let mut cand_at = vec![u32::MAX; order.len()];
+        for (i, &id) in nodes.iter().enumerate() {
+            if let Some(p) = cone.position(id) {
+                debug_assert_eq!(cand_at[p], u32::MAX, "`nodes` must be distinct");
+                cand_at[p] = i as u32;
             }
         }
-        let mut transient: Vec<Option<Vec<u64>>> = vec![None; net.node_count()];
+        // A cone node's row holds the candidates with a non-empty path to
+        // it. Fanins push into it, and it is complete when the node's turn
+        // comes, because they all sit at earlier positions. Only rows that
+        // have been pushed into but not yet consumed are live, and their
+        // slots are recycled, so transient memory follows the frontier.
+        // Every row a node pushes is non-empty: it is a candidate, or a
+        // descendant of one.
         let mut bits = vec![0u64; k * words];
-        for &id in net.reverse_topo_order().iter() {
-            let mut row = vec![0u64; words];
-            for &fo in net.fanouts(id) {
-                let fx = fo.index();
-                let ci = cand_ix[fx];
-                if ci != u32::MAX {
-                    row[ci as usize / 64] |= 1u64 << (ci % 64);
+        let mut pool: Vec<u64> = Vec::new();
+        let mut free: Vec<usize> = Vec::new();
+        let mut slot_of = vec![usize::MAX; order.len()];
+        let mut row = vec![0u64; words];
+        for (p, &id) in order.iter().enumerate() {
+            match slot_of[p] {
+                usize::MAX => row.fill(0),
+                r => {
+                    row.copy_from_slice(&pool[r * words..][..words]);
+                    free.push(r);
                 }
-                if let Some(fo_row) = transient[fx].as_ref() {
-                    for (w, v) in row.iter_mut().zip(fo_row) {
-                        *w |= v;
+            }
+            let ci = cand_at[p];
+            if ci != u32::MAX {
+                // transpose: every candidate reaching this one gets its bit
+                let j = ci as usize;
+                for (w, &word) in row.iter().enumerate() {
+                    let mut rest = word;
+                    while rest != 0 {
+                        let i = w * 64 + rest.trailing_zeros() as usize;
+                        rest &= rest - 1;
+                        bits[i * words + j / 64] |= 1u64 << (j % 64);
                     }
                 }
-                pending_reads[fx] -= 1;
-                if pending_reads[fx] == 0 {
-                    transient[fx] = None;
+                row[j / 64] |= 1u64 << (j % 64);
+            }
+            for &fo in net.fanouts(id) {
+                let q = cone
+                    .position(fo)
+                    .expect("a cone node's fanouts are in the cone");
+                if slot_of[q] == usize::MAX {
+                    let r = free.pop().unwrap_or_else(|| {
+                        pool.resize(pool.len() + words, 0);
+                        pool.len() / words - 1
+                    });
+                    pool[r * words..][..words].fill(0);
+                    slot_of[q] = r;
                 }
-            }
-            let ci = cand_ix[id.index()];
-            if ci != u32::MAX {
-                let base = ci as usize * words;
-                bits[base..base + words].copy_from_slice(&row);
-            }
-            if pending_reads[id.index()] > 0 {
-                transient[id.index()] = Some(row);
+                for (d, s) in pool[slot_of[q] * words..][..words].iter_mut().zip(&row) {
+                    *d |= s;
+                }
             }
         }
         SubsetReach {
@@ -165,7 +113,7 @@ impl SubsetReach {
 
     /// Returns `true` if candidate `from` reaches candidate `to` (both are
     /// indices into the `nodes` slice passed to [`SubsetReach::among`]).
-    /// Irreflexive on acyclic networks, exactly like [`ReachMatrix`].
+    /// Irreflexive on acyclic networks.
     #[inline]
     pub fn reaches(&self, from: usize, to: usize) -> bool {
         let w = self.bits[from * self.words_per_row + to / 64];
@@ -189,14 +137,32 @@ mod tests {
     use super::*;
     use crate::CellRef;
 
-    fn subset_matches_dense(net: &Network, nodes: &[NodeId]) {
-        let dense = ReachMatrix::of(net);
+    /// Dense oracle: one reverse-topological sweep OR-ing fanout rows over
+    /// every node, `reach[u][v]` = a non-empty path `u → v` exists.
+    fn dense(net: &Network) -> Vec<Vec<bool>> {
+        let n = net.node_count();
+        let mut reach = vec![vec![false; n]; n];
+        for &id in net.reverse_topo_order().iter() {
+            for &fo in net.fanouts(id) {
+                let below = reach[fo.index()].clone();
+                let row = &mut reach[id.index()];
+                row[fo.index()] = true;
+                for (r, b) in row.iter_mut().zip(below) {
+                    *r |= b;
+                }
+            }
+        }
+        reach
+    }
+
+    fn subset_matches_dense(net: &Network, nodes: &[NodeId]) -> SubsetReach {
+        let dense = dense(net);
         let sub = SubsetReach::among(net, nodes);
         for (i, &a) in nodes.iter().enumerate() {
             for (j, &b) in nodes.iter().enumerate() {
                 assert_eq!(
                     sub.reaches(i, j),
-                    dense.reaches(a, b),
+                    dense[a.index()][b.index()],
                     "disagreement on ({i}, {j})"
                 );
             }
@@ -204,6 +170,7 @@ mod tests {
             let expect: Vec<usize> = (0..nodes.len()).filter(|&j| sub.reaches(i, j)).collect();
             assert_eq!(listed, expect);
         }
+        sub
     }
 
     #[test]
@@ -214,14 +181,13 @@ mod tests {
         let r = net.add_gate("r", CellRef(0), &[a]);
         let top = net.add_gate("top", CellRef(1), &[l, r]);
         net.add_output("o", top);
-        let m = ReachMatrix::of(&net);
-        assert!(m.reaches(a, top));
-        assert!(m.reaches(l, top));
-        assert!(m.reaches(r, top));
-        assert!(!m.reaches(l, r));
-        assert!(!m.reaches(r, l));
-        assert!(!m.comparable(l, r));
-        assert!(m.comparable(a, top));
+        let m = SubsetReach::among(&net, &[a, l, r, top]);
+        assert!(m.reaches(0, 3));
+        assert!(m.reaches(1, 3));
+        assert!(m.reaches(2, 3));
+        assert!(!m.reaches(1, 2));
+        assert!(!m.reaches(2, 1));
+        assert!(!m.reaches(3, 0));
     }
 
     #[test]
@@ -230,14 +196,16 @@ mod tests {
         let a = net.add_input("a");
         let g = net.add_gate("g", CellRef(0), &[a]);
         net.add_output("o", g);
-        let m = ReachMatrix::of(&net);
-        assert!(!m.reaches(a, a));
-        assert!(!m.reaches(g, g));
+        let m = SubsetReach::among(&net, &[a, g]);
+        assert!(!m.reaches(0, 0));
+        assert!(!m.reaches(1, 1));
+        assert!(m.reaches(0, 1));
     }
 
     #[test]
     fn wide_network_crosses_word_boundary() {
-        // More than 64 nodes so the bitset spans multiple words.
+        // More than 64 candidates on one chain, so every row spans
+        // multiple words and the transpose crosses word boundaries.
         let mut net = Network::new("w");
         let a = net.add_input("a");
         let mut prev = a;
@@ -247,13 +215,12 @@ mod tests {
             ids.push(prev);
         }
         net.add_output("o", prev);
-        let m = ReachMatrix::of(&net);
-        for (i, &u) in ids.iter().enumerate() {
-            // spot-check a diagonal band plus the extremes
-            assert!(i + 1 >= ids.len() || m.reaches(u, ids[i + 1]));
-            assert!(!m.reaches(ids[ids.len() - 1], u));
+        let m = SubsetReach::among(&net, &ids);
+        for i in 0..ids.len() {
+            for j in 0..ids.len() {
+                assert_eq!(m.reaches(i, j), i < j, "({i}, {j})");
+            }
         }
-        assert!(m.reaches(ids[0], ids[ids.len() - 1]));
     }
 
     #[test]
@@ -266,6 +233,7 @@ mod tests {
         net.add_output("o", top);
         subset_matches_dense(&net, &[l, r, top]);
         subset_matches_dense(&net, &[a, top]);
+        subset_matches_dense(&net, &[top, a]);
         subset_matches_dense(&net, &[r]);
         subset_matches_dense(&net, &[]);
     }
@@ -293,5 +261,27 @@ mod tests {
         // sparse, shuffled subset
         let some: Vec<NodeId> = gates.iter().copied().step_by(3).rev().collect();
         subset_matches_dense(&net, &some);
+    }
+
+    #[test]
+    fn multi_pin_fanouts_and_tombstones() {
+        // a gate reading one driver on two pins, and a converter spliced
+        // then removed: the tombstone is reached by nothing and reaches
+        // nothing, and the rewired sinks keep their reachability
+        let mut net = Network::new("m");
+        let a = net.add_input("a");
+        let d = net.add_gate("d", CellRef(0), &[a]);
+        let twice = net.add_gate("twice", CellRef(1), &[d, d]);
+        let s = net.add_gate("s", CellRef(0), &[twice]);
+        net.add_output("o", s);
+        let conv = net
+            .insert_converter(twice, &[s], false, CellRef(9))
+            .unwrap();
+        subset_matches_dense(&net, &[s, conv, d, twice]);
+        net.remove_converter(conv).unwrap();
+        let m = subset_matches_dense(&net, &[s, conv, d, twice]);
+        assert!(m.reaches(2, 0));
+        assert_eq!(m.reachable_from(1).count(), 0);
+        assert!((0..4).all(|i| !m.reaches(i, 1)));
     }
 }

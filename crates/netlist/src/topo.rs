@@ -42,6 +42,116 @@ impl Levels {
     }
 }
 
+/// The descendant (fanout) cone of a seed set, in topological order.
+///
+/// [`FanoutCone::of`] collects every live node reachable from the seeds
+/// (the seeds included) and orders them with Kahn's algorithm over the
+/// in-cone edges only, so it costs `O(cone + cone edges)` time however
+/// large the network is, plus one position map over the node slots.
+///
+/// # Example
+///
+/// ```
+/// use dvs_netlist::{CellRef, FanoutCone, Network};
+///
+/// let mut net = Network::new("c");
+/// let a = net.add_input("a");
+/// let g1 = net.add_gate("g1", CellRef(0), &[a]);
+/// let g2 = net.add_gate("g2", CellRef(0), &[g1, a]);
+/// let side = net.add_gate("side", CellRef(0), &[a]);
+/// net.add_output("o", g2);
+/// net.add_output("p", side);
+///
+/// let cone = FanoutCone::of(&net, [g1]);
+/// assert_eq!(cone.order(), &[g1, g2]);
+/// assert_eq!(cone.position(g2), Some(1));
+/// assert_eq!(cone.position(side), None); // not a descendant of g1
+/// ```
+#[derive(Debug, Clone)]
+pub struct FanoutCone {
+    /// Per node slot: the cone position, or [`FanoutCone::OUTSIDE`]. While
+    /// the cone is being sorted, a member's pending in-cone fanin count.
+    slot: Vec<u32>,
+    order: Vec<NodeId>,
+}
+
+impl FanoutCone {
+    const OUTSIDE: u32 = u32::MAX;
+
+    /// Orders the live descendants of `seeds` (the live seeds themselves
+    /// included, duplicates coalesced) fanins-first. Dead or out-of-range
+    /// seeds are skipped. The order is deterministic for a given network
+    /// and seed sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cone contains a combinational cycle.
+    pub fn of(net: &Network, seeds: impl IntoIterator<Item = NodeId>) -> Self {
+        let n = net.node_count();
+        let mut slot = vec![Self::OUTSIDE; n];
+        // Collect the cone breadth-first, counting each member's in-cone
+        // fanin pins (fanout lists carry one entry per pin).
+        let mut cone: Vec<NodeId> = Vec::new();
+        for s in seeds {
+            if s.index() < n && !net.node(s).is_dead() && slot[s.index()] == Self::OUTSIDE {
+                slot[s.index()] = 0;
+                cone.push(s);
+            }
+        }
+        let mut head = 0;
+        while head < cone.len() {
+            let id = cone[head];
+            head += 1;
+            for &fo in net.fanouts(id) {
+                let s = &mut slot[fo.index()];
+                if *s == Self::OUTSIDE {
+                    *s = 0;
+                    cone.push(fo);
+                }
+                *s += 1;
+            }
+        }
+        // Kahn over the in-cone edges; the output doubles as the FIFO.
+        let mut order: Vec<NodeId> = Vec::new();
+        order.extend(cone.iter().filter(|id| slot[id.index()] == 0));
+        let mut head = 0;
+        while head < order.len() {
+            let id = order[head];
+            head += 1;
+            for &fo in net.fanouts(id) {
+                let s = &mut slot[fo.index()];
+                *s -= 1;
+                if *s == 0 {
+                    order.push(fo);
+                }
+            }
+        }
+        assert_eq!(
+            order.len(),
+            cone.len(),
+            "network contains a combinational cycle"
+        );
+        for (pos, id) in order.iter().enumerate() {
+            slot[id.index()] = pos as u32;
+        }
+        FanoutCone { slot, order }
+    }
+
+    /// The cone's nodes, fanins first.
+    pub fn order(&self) -> &[NodeId] {
+        &self.order
+    }
+
+    /// Position of `id` in [`FanoutCone::order`], or `None` outside the
+    /// cone.
+    pub fn position(&self, id: NodeId) -> Option<usize> {
+        match self.slot.get(id.index()) {
+            Some(&s) if s != Self::OUTSIDE => Some(s as usize),
+            _ => None,
+        }
+    }
+}
+
 impl Network {
     /// Returns the live nodes in topological order (fanins before fanouts,
     /// primary inputs first).
@@ -178,5 +288,45 @@ mod tests {
         assert_eq!(levels.level(top), 3);
         assert_eq!(levels.level(l), 1);
         assert_eq!(levels.depth(), 3);
+    }
+
+    #[test]
+    fn fanout_cone_orders_only_the_cone() {
+        let mut net = Network::new("c");
+        let a = net.add_input("a");
+        let b = net.add_input("b");
+        let l = net.add_gate("l", CellRef(0), &[a]);
+        let r = net.add_gate("r", CellRef(0), &[b]);
+        let twice = net.add_gate("twice", CellRef(1), &[r, r]);
+        let top = net.add_gate("top", CellRef(1), &[l, twice]);
+        net.add_output("o", top);
+        // duplicate and nested seeds coalesce; the multi-pin edge counts
+        // twice and still releases `twice` exactly once
+        let cone = FanoutCone::of(&net, [twice, r, r]);
+        assert_eq!(cone.order(), &[r, twice, top]);
+        assert_eq!(cone.position(l), None);
+        assert_eq!(cone.position(top), Some(2));
+        assert_eq!(FanoutCone::of(&net, [l]).order(), &[l, top]);
+        assert!(FanoutCone::of(&net, []).order().is_empty());
+    }
+
+    #[test]
+    fn fanout_cone_follows_rewiring_and_truncation() {
+        let mut net = chain(3);
+        net.enable_journal();
+        let g0 = net.find("g0").unwrap();
+        let g1 = net.find("g1").unwrap();
+        let g2 = net.find("g2").unwrap();
+        let cp = net.checkpoint();
+        let conv = net.insert_converter(g0, &[g1], false, CellRef(9)).unwrap();
+        assert_eq!(FanoutCone::of(&net, [g0]).order(), &[g0, conv, g1, g2]);
+        net.rollback_to(cp);
+        // the converter's slot is gone; dead or out-of-range seeds are skipped
+        let cone = FanoutCone::of(&net, [conv, g1]);
+        assert_eq!(cone.order(), &[g1, g2]);
+        assert_eq!(cone.position(conv), None);
+        let conv = net.insert_converter(g1, &[g2], false, CellRef(9)).unwrap();
+        net.remove_converter(conv).unwrap();
+        assert_eq!(FanoutCone::of(&net, [conv, g0]).order(), &[g0, g1, g2]);
     }
 }

@@ -54,6 +54,45 @@ fn reaches_dfs(net: &Network, from: NodeId, to: NodeId) -> bool {
     false
 }
 
+/// A random network with multi-pin connections (fanins are not
+/// deduplicated) and level converters spliced over random gates' fanouts;
+/// each splice flagged `true` is removed again, leaving a tombstone.
+fn spliced_network(gates: &[(u32, u8)], splices: &[(u32, bool)]) -> Network {
+    let mut net = Network::new("spliced");
+    let mut pool: Vec<NodeId> = (0..3).map(|i| net.add_input(format!("pi{i}"))).collect();
+    for (ix, &(seed, arity)) in gates.iter().enumerate() {
+        let fanins: Vec<NodeId> = (0..arity as usize)
+            .map(|pin| pool[(seed as usize).wrapping_mul(31).wrapping_add(pin * 17) % pool.len()])
+            .collect();
+        pool.push(net.add_gate(format!("g{ix}"), CellRef(fanins.len() as u32), &fanins));
+    }
+    net.add_output("po", *pool.last().unwrap());
+    let mut spliced = Vec::new();
+    for &(pick, remove) in splices {
+        let drivers: Vec<NodeId> = net
+            .gate_ids()
+            .filter(|&g| !net.node(g).is_converter() && !net.fanouts(g).is_empty())
+            .collect();
+        if drivers.is_empty() {
+            break;
+        }
+        let driver = drivers[pick as usize % drivers.len()];
+        let mut sinks = net.fanouts(driver).to_vec();
+        sinks.sort_unstable();
+        sinks.dedup();
+        let conv = net
+            .insert_converter(driver, &sinks, false, CellRef(99))
+            .unwrap();
+        if remove {
+            spliced.push(conv);
+        }
+    }
+    for conv in spliced {
+        net.remove_converter(conv).unwrap();
+    }
+    net
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -74,18 +113,38 @@ proptest! {
     }
 
     #[test]
-    fn reach_matrix_matches_dfs(net in network_strategy()) {
-        let m = dvs_netlist::ReachMatrix::of(&net);
-        let ids: Vec<NodeId> = net.node_ids().collect();
-        for &u in &ids {
-            for &v in &ids {
-                if u == v { continue; }
+    fn subset_reach_matches_dfs(
+        gates in proptest::collection::vec((any::<u32>(), 1u8..4), 2..150),
+        splices in proptest::collection::vec((any::<u32>(), any::<bool>()), 0..6),
+        keep in any::<u64>(),
+        shuffle in any::<u64>(),
+    ) {
+        let net = spliced_network(&gates, &splices);
+        // a distinct candidate subset (dead slots included), shuffled
+        let mut nodes: Vec<NodeId> = (0..net.node_count())
+            .map(NodeId::from_index)
+            .filter(|id| keep.rotate_left(id.index() as u32) & 3 != 0)
+            .collect();
+        let mut state = shuffle | 1;
+        for i in (1..nodes.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            nodes.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let reach = dvs_netlist::SubsetReach::among(&net, &nodes);
+        for (i, &u) in nodes.iter().enumerate() {
+            for (j, &v) in nodes.iter().enumerate() {
                 prop_assert_eq!(
-                    m.reaches(u, v),
+                    reach.reaches(i, j),
                     reaches_dfs(&net, u, v),
                     "disagree on {} -> {}", u, v
                 );
             }
+            let listed: Vec<usize> = reach.reachable_from(i).collect();
+            let expect: Vec<usize> =
+                (0..nodes.len()).filter(|&j| reach.reaches(i, j)).collect();
+            prop_assert_eq!(listed, expect);
         }
     }
 

@@ -35,7 +35,11 @@
 //! enqueue its fanouts. The evaluated set, the statistics and every
 //! cached byte are identical to a sequential topological-order walk for
 //! any thread count — a gate's change decision depends only on committed
-//! fanin rows, never on same-level peers. Because the flow's only
+//! fanin rows, never on same-level peers. The logic levels that key the
+//! buckets are cached too: built once from the construction simulation,
+//! then re-derived only over the seeds' forward cone (a
+//! [`dvs_netlist::FanoutCone`]), since only a seed's fanin list can change
+//! and a level depends on nothing but fanin levels. Because the flow's only
 //! structural edit splices identity (`BUF`) converters, cones collapse
 //! after one level — the machinery stays correct for arbitrary logic
 //! replacements regardless.
@@ -56,11 +60,11 @@
 //! re-summed from cached per-node state instead.
 
 use dvs_celllib::Library;
-use dvs_netlist::{Levels, Network, NodeId};
+use dvs_netlist::{FanoutCone, Network, NodeId};
 use dvs_sta::{load_pf, po_sink_counts};
 
 use crate::estimate::estimate_with;
-use crate::sim::{eval_row_into, row_stats, simulate_data};
+use crate::sim::{eval_row_into, node_level, row_stats, simulate_data};
 use crate::{Activities, PowerBreakdown};
 
 /// One network edit the power cache must absorb, mirroring the netlist
@@ -142,6 +146,9 @@ pub struct PowerState {
     acts: Activities,
     load: Vec<f64>,
     po_counts: Vec<u32>,
+    /// Logic level of every node, the wavefront's bucket key. Slots of
+    /// dead nodes are stale, exactly like their waveform rows.
+    level: Vec<u32>,
     pending: Vec<PowerDelta>,
     /// Wavefront thread width for simulation and refresh.
     jobs: usize,
@@ -181,6 +188,7 @@ impl PowerState {
             acts: data.acts,
             load,
             po_counts,
+            level: data.level,
             pending: Vec::new(),
             jobs,
         }
@@ -291,13 +299,30 @@ impl PowerState {
         // change decision reads only fanin rows, and every fanin lives in
         // a strictly earlier level, committed before this batch ran.
         if !seeds.is_empty() {
-            let levels = Levels::of(net);
-            let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); levels.depth() as usize + 1];
+            // Only the seeds' descendants can change level: every gate
+            // whose fanin list an edit rewrote is itself a seed.
+            self.level.resize(n, 0);
+            let mut depth = 0;
+            let gate_seeds = seeds
+                .iter()
+                .copied()
+                .filter(|&s| alive(s) && net.node(s).is_gate());
+            for &id in FanoutCone::of(net, gate_seeds).order() {
+                let l = node_level(net, &self.level, id);
+                self.level[id.index()] = l;
+                depth = depth.max(l);
+            }
+            debug_assert!(
+                self.levels_match(net),
+                "cached levels diverged from Levels::of"
+            );
+            let level = &self.level;
+            let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); depth as usize + 1];
             let mut queued = vec![false; n];
             for &s in &seeds {
                 if alive(s) && net.node(s).is_gate() && !queued[s.index()] {
                     queued[s.index()] = true;
-                    buckets[levels.level(s) as usize].push(s.index());
+                    buckets[level[s.index()] as usize].push(s.index());
                 }
             }
             let (words, vectors, jobs) = (self.words, self.vectors, self.jobs);
@@ -342,7 +367,7 @@ impl PowerState {
                             if net.node(f).is_gate() && !net.node(f).is_dead() && !queued[f.index()]
                             {
                                 queued[f.index()] = true;
-                                buckets[levels.level(f) as usize].push(f.index());
+                                buckets[level[f.index()] as usize].push(f.index());
                             }
                         }
                     }
@@ -371,6 +396,14 @@ impl PowerState {
             stats.loads += 1;
         }
         stats
+    }
+
+    /// `true` if the cached levels equal [`dvs_netlist::Levels::of`] on
+    /// every live node.
+    fn levels_match(&self, net: &Network) -> bool {
+        let fresh = dvs_netlist::Levels::of(net);
+        net.node_ids()
+            .all(|id| self.level[id.index()] == fresh.level(id))
     }
 
     /// The Eq. (1) breakdown of the current network from cached state —

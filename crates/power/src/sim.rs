@@ -1,8 +1,8 @@
 //! Bit-parallel random-vector logic simulation.
 //!
 //! The gate evaluation sweep is a **parallel wavefront**: gates are
-//! grouped by logic level ([`dvs_netlist::Levels`]) and each level's
-//! waveform rows are evaluated concurrently on the shared
+//! grouped by logic level (as [`dvs_netlist::Levels`] defines it) and
+//! each level's waveform rows are evaluated concurrently on the shared
 //! [`dvs_pool`] worker pool — a row depends only on fanin rows, which a
 //! level boundary guarantees are committed. Results are identical to the
 //! sequential topological sweep for any thread count (exact `f64 ==`,
@@ -11,7 +11,7 @@
 //! and rows within a level are independent by construction.
 
 use dvs_celllib::Library;
-use dvs_netlist::{Levels, Network, NodeId};
+use dvs_netlist::{Network, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -113,20 +113,38 @@ pub fn simulate_with_probs(
 /// width.
 pub(crate) const PAR_MIN_ROWS: usize = 256;
 
+/// Logic level of `id` from its fanins' entries in `level`: one more than
+/// the deepest fanin, 0 for primary inputs — [`dvs_netlist::Levels`]'
+/// definition, shared by the wavefront sweep and the incremental engine's
+/// cone re-derivation so both agree on every bucket.
+pub(crate) fn node_level(net: &Network, level: &[u32], id: NodeId) -> u32 {
+    net.fanins(id)
+        .iter()
+        .map(|f| level[f.index()] + 1)
+        .max()
+        .unwrap_or(0)
+}
+
 /// Gates grouped by logic level: every fanin of a gate in wavefront `k`
 /// lives in an earlier wavefront (or is a primary input), so all rows of
 /// one wavefront can be evaluated concurrently. Within a wavefront, gates
 /// appear in topological-order sequence, which keeps the commit order —
-/// and therefore every downstream byte — deterministic.
-pub(crate) fn gate_wavefronts(net: &Network) -> Vec<Vec<NodeId>> {
-    let levels = Levels::of(net);
-    let mut fronts: Vec<Vec<NodeId>> = vec![Vec::new(); levels.depth() as usize];
-    for &id in &net.topo_order() {
+/// and therefore every downstream byte — deterministic. Also returns the
+/// per-node logic levels the grouping used (0 for dead slots).
+pub(crate) fn gate_wavefronts(net: &Network) -> (Vec<Vec<NodeId>>, Vec<u32>) {
+    let order = net.topo_order();
+    let mut level = vec![0u32; net.node_count()];
+    for &id in &order {
+        level[id.index()] = node_level(net, &level, id);
+    }
+    let depth = order.iter().map(|id| level[id.index()]).max().unwrap_or(0);
+    let mut fronts: Vec<Vec<NodeId>> = vec![Vec::new(); depth as usize];
+    for &id in &order {
         if net.node(id).is_gate() {
-            fronts[(levels.level(id).max(1) - 1) as usize].push(id);
+            fronts[(level[id.index()].max(1) - 1) as usize].push(id);
         }
     }
-    fronts
+    (fronts, level)
 }
 
 /// Full simulation result including the raw node-major waveform buffer —
@@ -138,6 +156,8 @@ pub(crate) struct SimData {
     pub values: Vec<u64>,
     /// The per-net statistics derived from `values`.
     pub acts: Activities,
+    /// Logic level of every node (0 for dead slots).
+    pub level: Vec<u32>,
 }
 
 /// Evaluates gate `id`'s waveform from its fanins' cached rows in `values`
@@ -257,7 +277,8 @@ pub(crate) fn simulate_data(
 
     // Wavefront sweep: gather each level's rows in parallel (reads only
     // committed fanin rows), then scatter sequentially in level order.
-    for front in &gate_wavefronts(net) {
+    let (fronts, level) = gate_wavefronts(net);
+    for front in &fronts {
         let level_jobs = dvs_pool::effective_jobs(jobs, front.len(), PAR_MIN_ROWS);
         let rows = dvs_pool::run_indexed(front, level_jobs, |_, &id| {
             let mut out = vec![0u64; words];
@@ -287,6 +308,7 @@ pub(crate) fn simulate_data(
             p_one,
             sw01,
         },
+        level,
     }
 }
 

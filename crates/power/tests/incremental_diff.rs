@@ -207,3 +207,56 @@ proptest! {
         prop_assert_eq!(ps.breakdown(&net, &lib).total_uw, pristine_total);
     }
 }
+
+/// A rollback that truncates converters deepening the network, absorbed
+/// in one batch with a fresh converter that reuses a freed slot: the
+/// refresh re-derives levels over the seeds' cone only (debug builds
+/// check them against `Levels::of` on every refresh) and stays exact.
+#[test]
+fn rollback_truncation_then_slot_reuse_stays_exact() {
+    let lib = lib();
+    let inv = lib.find("INV").unwrap();
+    let nand2 = lib.find("NAND2").unwrap();
+    let mut net = Network::new("trunc");
+    let a = net.add_input("a");
+    let b = net.add_input("b");
+    let mut spine = net.add_gate("s0", nand2, &[a, b]);
+    let side = net.add_gate("side", inv, &[b]);
+    for k in 1..6 {
+        spine = net.add_gate(format!("s{k}"), nand2, &[spine, side]);
+    }
+    net.add_output("y", spine);
+    net.enable_journal();
+    let (vectors, seed) = (130, 4);
+    let mut ps = PowerState::new(&net, &lib, vectors, seed, FCLK_MHZ);
+    let cp = net.checkpoint();
+
+    // deepen every spine gate behind `side` by one converter level
+    let sinks: Vec<NodeId> = net.fanouts(side).to_vec();
+    let conv = net
+        .insert_converter(side, &sinks, false, lib.converter())
+        .unwrap();
+    ps.note(PowerDelta::ConverterInserted { conv, driver: side });
+    ps.refresh(&net, &lib);
+    assert_exact(&ps, &net, &lib, vectors, seed).unwrap();
+
+    let touched = net.rollback_to(cp);
+    assert!(
+        net.node_count() <= conv.index(),
+        "the converter slot is freed"
+    );
+    ps.note(PowerDelta::Rollback { touched });
+    let s0 = net.find("s0").unwrap();
+    let s1 = net.find("s1").unwrap();
+    let reused = net
+        .insert_converter(s0, &[s1], false, lib.converter())
+        .unwrap();
+    assert_eq!(reused, conv, "the new converter reuses the freed slot");
+    ps.note(PowerDelta::ConverterInserted {
+        conv: reused,
+        driver: s0,
+    });
+    let stats = ps.refresh(&net, &lib);
+    assert_eq!(stats.deltas, 2);
+    assert_exact(&ps, &net, &lib, vectors, seed).unwrap();
+}
