@@ -289,15 +289,20 @@ fn run_compare(
 
 /// Opens every output path before the sweep, so a mistyped path fails at
 /// once instead of after the whole run. `--out` and `--folded-out` are only
-/// probed: append mode proves writability without truncating an existing
-/// document. The trace file is created and returned for the export.
+/// probed: append mode proves an existing document writable without
+/// truncating it, and a file the probe had to create is removed again, so
+/// a later failure leaves no empty document behind. The trace file is
+/// created and returned for the export.
 fn open_outputs(args: &Args) -> Result<Option<File>, String> {
     for path in std::iter::once(&args.out).chain(&args.folded_out) {
-        OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("opening {}: {e}", path.display()))?;
+        let opened = |e: std::io::Error| format!("opening {}: {e}", path.display());
+        match OpenOptions::new().write(true).create_new(true).open(path) {
+            Ok(_) => std::fs::remove_file(path).map_err(opened)?,
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
+                OpenOptions::new().append(true).open(path).map_err(opened)?;
+            }
+            Err(e) => return Err(opened(e)),
+        }
     }
     args.trace_out
         .as_ref()

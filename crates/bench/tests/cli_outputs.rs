@@ -46,3 +46,23 @@ fn unwritable_folded_out_leaves_an_existing_document_intact() {
     assert!(!ran_a_scenario(&stderr), "a scenario ran:\n{stderr}");
     assert_eq!(kept, "earlier sweep\n", "probing --out truncated it");
 }
+
+#[test]
+fn unwritable_folded_out_leaves_no_empty_document() {
+    let doc = std::env::temp_dir().join(format!("dvs_sweep_cli_new_{}.json", std::process::id()));
+    std::fs::remove_file(&doc).ok();
+    let out = dvs_sweep(&[
+        "--profiles",
+        "smallest",
+        "--out",
+        doc.to_str().unwrap(),
+        "--folded-out",
+        "/nonexistent-dir/x.folded",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let left = doc.exists();
+    std::fs::remove_file(&doc).ok();
+    assert!(!out.status.success(), "exit status {:?}", out.status);
+    assert!(stderr.contains("/nonexistent-dir/x.folded"), "{stderr}");
+    assert!(!left, "probing --out left {} behind", doc.display());
+}

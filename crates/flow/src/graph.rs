@@ -1,5 +1,4 @@
-//! Residual flow-graph representation and Dinic max-flow (with the
-//! Edmonds–Karp reference implementation kept as a differential oracle).
+//! Residual flow-graph representation and Dinic max-flow.
 
 /// Capacity treated as unbounded. Large enough that no sum of real
 /// capacities reaches it, small enough that additions cannot overflow.
@@ -139,8 +138,8 @@ impl FlowGraph {
     /// sequential), so the path count and the residual state are
     /// reproducible run to run. Note the count is typically far smaller
     /// than Edmonds–Karp's on separator-shaped graphs, and intentionally
-    /// *not* comparable to documents written before schema v6. Neither
-    /// variant touches the obs layer — the production call sites
+    /// *not* comparable to documents written before schema v6. The
+    /// solver does not touch the obs layer — the production call sites
     /// ([`crate::min_vertex_separator`], [`crate::max_weight_antichain`])
     /// record `flow.augmenting_paths`, keeping the solver itself free of
     /// per-call instrumentation cost (measurable on sub-µs problems).
@@ -282,72 +281,6 @@ impl FlowGraph {
         }
     }
 
-    /// The Edmonds–Karp reference implementation (BFS shortest augmenting
-    /// paths, `O(V·E²)` — exactly the CLRS chapter-27 algorithm the paper
-    /// cites). Kept verbatim as the differential oracle for
-    /// [`FlowGraph::max_flow_counted`]: both must produce the same flow
-    /// value and — because the source-reachable residual set is the same
-    /// for *every* max flow — the same [`FlowGraph::min_cut_side`]. Only
-    /// the path counts differ.
-    ///
-    /// This is the test oracle: production code never calls it, and it
-    /// stays public only for `tests/dinic_vs_ek.rs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s == t` or either is out of range.
-    pub fn max_flow_counted_ek(&mut self, s: usize, t: usize) -> (u64, u64) {
-        assert!(s < self.n && t < self.n && s != t, "bad terminals");
-        let mut total: u64 = 0;
-        let mut paths: u64 = 0;
-        let mut pred: Vec<Option<u32>> = vec![None; self.n];
-        let mut queue: Vec<u32> = Vec::with_capacity(self.n);
-        loop {
-            // BFS for the shortest augmenting path.
-            pred.iter_mut().for_each(|p| *p = None);
-            queue.clear();
-            queue.push(s as u32);
-            let mut found = false;
-            let mut head = 0;
-            'bfs: while head < queue.len() {
-                let u = queue[head] as usize;
-                head += 1;
-                for &e in &self.adj[u] {
-                    let v = self.to[e as usize] as usize;
-                    if self.cap[e as usize] > 0 && pred[v].is_none() && v != s {
-                        pred[v] = Some(e);
-                        if v == t {
-                            found = true;
-                            break 'bfs;
-                        }
-                        queue.push(v as u32);
-                    }
-                }
-            }
-            if !found {
-                return (total, paths);
-            }
-            // bottleneck
-            let mut bottleneck = u64::MAX;
-            let mut v = t;
-            while v != s {
-                let e = pred[v].expect("path reconstructed") as usize;
-                bottleneck = bottleneck.min(self.cap[e]);
-                v = self.to[e ^ 1] as usize;
-            }
-            // augment
-            let mut v = t;
-            while v != s {
-                let e = pred[v].expect("path reconstructed") as usize;
-                self.cap[e] -= bottleneck;
-                self.cap[e ^ 1] += bottleneck;
-                v = self.to[e ^ 1] as usize;
-            }
-            paths += 1;
-            total = total.saturating_add(bottleneck);
-        }
-    }
-
     /// After a [`FlowGraph::max_flow`] call, returns the source side of a
     /// minimum cut: `side[v]` is `true` iff `v` is reachable from `s` in
     /// the residual graph.
@@ -468,32 +401,5 @@ mod tests {
     #[should_panic(expected = "bad terminals")]
     fn same_terminals_rejected() {
         FlowGraph::new(2).max_flow(1, 1);
-    }
-
-    #[test]
-    fn dinic_matches_ek_on_clrs_network() {
-        let mut g = FlowGraph::new(6);
-        for (u, v, c) in [
-            (0, 1, 16),
-            (0, 2, 13),
-            (1, 2, 10),
-            (2, 1, 4),
-            (1, 3, 12),
-            (3, 2, 9),
-            (2, 4, 14),
-            (4, 3, 7),
-            (3, 5, 20),
-            (4, 5, 4),
-        ] {
-            g.add_edge(u, v, c);
-        }
-        let mut ek = g.clone();
-        let (dinic_flow, dinic_paths) = g.max_flow_counted(0, 5);
-        let (ek_flow, _) = ek.max_flow_counted_ek(0, 5);
-        assert_eq!(dinic_flow, ek_flow);
-        assert_eq!(dinic_flow, 23);
-        assert!(dinic_paths >= 1);
-        // any max flow exposes the same source-reachable residual set
-        assert_eq!(g.min_cut_side(0), ek.min_cut_side(0));
     }
 }

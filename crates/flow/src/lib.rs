@@ -5,11 +5,11 @@
 //! * [`FlowGraph`] — residual-graph representation with a Dinic
 //!   max-flow (`O(V²·E)`, level graph + blocking flow) and min-cut
 //!   extraction. The Edmonds–Karp algorithm the paper cites from
-//!   Cormen–Leiserson–Rivest chapter 27 is kept verbatim as
-//!   [`FlowGraph::max_flow_counted_ek`], the differential oracle: both
-//!   compute the same flow value and the same source-side min cut (the
-//!   residual-reachable set is invariant across max flows), so swapping
-//!   the engine changes no separator and no downstream result;
+//!   Cormen–Leiserson–Rivest chapter 27 lives in the `dinic_vs_ek` test
+//!   as the differential oracle: both compute the same flow value and the
+//!   same source-side min cut (the residual-reachable set is invariant
+//!   across max flows), so swapping the engine changes no separator and
+//!   no downstream result;
 //! * [`min_vertex_separator`] — minimum-weight *vertex* separator of a DAG
 //!   via the classic node-splitting reduction, used by `Gscale` to pick the
 //!   cheapest set of gates whose resizing speeds up every critical path;

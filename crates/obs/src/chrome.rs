@@ -175,7 +175,6 @@ mod tests {
         });
         trace.instants.push(InstantRecord {
             tid: 7,
-            seq: 2,
             t_ns: 1_500_000,
             name: "gscale.stop",
             text: "[gscale] iter 3: stalled -> stop".into(),

@@ -1,18 +1,24 @@
 //! # dvs-obs
 //!
 //! Std-only observability for the dual-Vdd flow: **hierarchical spans**,
-//! a **metrics registry** (counters, gauges, fixed log-bucket histograms),
-//! **instant events** (the text lines `DVS_TRACE` prints), per-thread
-//! **CPU clocks**, a buffering [`Recorder`] with deterministic merge,
-//! [Chrome trace-event](chrome) export, and [text renderings](summary):
-//! top spans by self-time and folded stacks.
+//! fixed log-bucket **histograms**, **attribution** of work to netlist
+//! sites, **instant events** (the text lines `DVS_TRACE` prints),
+//! per-thread **CPU clocks**, a buffering [`Recorder`] with deterministic
+//! merge, [Chrome trace-event](chrome) export, and
+//! [text renderings](summary): top spans by self-time and folded stacks.
 //!
 //! ## Model
 //!
 //! One process-global [`Subscriber`] slot ([`set_subscriber`]) receives
 //! every record. Instrumented code calls the free functions — [`span`],
-//! [`counter_add`], [`hist_record`], [`instant`], … — which are routed to
+//! [`hist_record`], [`attr_add`], [`instant`], … — which are routed to
 //! the subscriber *only* when one is installed.
+//!
+//! Three record kinds carry metrics: span totals (count, wall, self and
+//! CPU time per name), histograms and attributions. A count or a sum of
+//! some quantity is a histogram's `count` and `sum`, so there is no
+//! separate counter kind. Session work (edits, STA events, rollbacks) is
+//! not recorded here at all: `dvs_core::FlowCounters` is its one record.
 //!
 //! The [`Recorder`] is the one production subscriber. Every output is a
 //! rendering of its drained [`Trace`]: the Chrome trace
@@ -33,14 +39,16 @@
 //! ## Threads and determinism
 //!
 //! Span nesting, sequence numbers and parentage are tracked per thread in
-//! TLS, so records carry exact integer happens-inside relations
-//! (`enter_seq < seq < exit_seq` on the same `tid`) instead of timestamp
-//! comparisons. The [`Recorder`] buffers each thread's records in a
-//! thread-owned sink ("lock-free enough": the only mutex a hot-path push
-//! takes is the sink's own, uncontended except during the final drain)
-//! and [`Recorder::drain`] merges sinks in thread-registration order with
-//! records in sequence order — a deterministic layout for any
-//! interleaving.
+//! TLS, so spans carry exact integer happens-inside relations (span `A`
+//! lies inside span `B` iff `B.enter_seq < A.enter_seq` and
+//! `A.exit_seq < B.exit_seq` on the same `tid`) instead of timestamp
+//! comparisons. Only spans take sequence numbers; every other record
+//! carries just its thread id. The [`Recorder`] buffers each thread's
+//! records in a thread-owned sink ("lock-free enough": the only mutex a
+//! hot-path push takes is the sink's own, uncontended except during the
+//! final drain) and [`Recorder::drain`] merges sinks in
+//! thread-registration order with each thread's records in the order it
+//! made them — a deterministic layout for any interleaving.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -90,23 +98,15 @@ pub use recorder::{HistRollup, ObsMark, Recorder, Rollup, SpanRollup, Trace};
 ///
 /// Methods are called from the instrumented thread, inline at the record
 /// site — implementations must be cheap and must not re-enter the
-/// recording API (`span`/`counter_add`/…) or they will self-trace.
+/// recording API (`span`/`hist_record`/…) or they will self-trace.
 pub trait Subscriber: Send + Sync + 'static {
     /// A span completed on thread `rec.tid`.
     fn span_end(&self, rec: SpanRecord) {
         let _ = rec;
     }
-    /// A counter was bumped by `delta`.
-    fn counter(&self, tid: u32, seq: u64, name: &'static str, delta: u64) {
-        let _ = (tid, seq, name, delta);
-    }
-    /// A gauge was set to `value`.
-    fn gauge(&self, tid: u32, seq: u64, name: &'static str, value: f64) {
-        let _ = (tid, seq, name, value);
-    }
     /// A histogram sample was recorded.
-    fn histogram(&self, tid: u32, seq: u64, name: &'static str, value: u64) {
-        let _ = (tid, seq, name, value);
+    fn histogram(&self, tid: u32, name: &'static str, value: u64) {
+        let _ = (tid, name, value);
     }
     /// An instant event fired.
     fn instant(&self, rec: InstantRecord) {
@@ -120,8 +120,8 @@ pub trait Subscriber: Send + Sync + 'static {
     /// the netlist site `site` — e.g. STA worklist events to the edited
     /// gate, saved nanowatts to the demoted gate, augmenting-path work to
     /// the separator that caused it. See [`attr_add`].
-    fn attribution(&self, tid: u32, seq: u64, domain: &'static str, site: &str, value: u64) {
-        let _ = (tid, seq, domain, site, value);
+    fn attribution(&self, tid: u32, domain: &'static str, site: &str, value: u64) {
+        let _ = (tid, domain, site, value);
     }
 }
 
@@ -146,12 +146,6 @@ pub fn set_subscriber(sub: Option<Arc<dyn Subscriber>>) -> Option<Arc<dyn Subscr
     prev
 }
 
-/// `true` iff a subscriber is currently installed (one relaxed load).
-#[inline]
-pub fn subscriber_installed() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
 /// Runs `f` with the installed subscriber, if any. The single gate every
 /// recording entry point goes through.
 #[inline]
@@ -168,8 +162,8 @@ fn with_subscriber(f: impl FnOnce(&Arc<dyn Subscriber>)) {
     }
 }
 
-/// Per-thread recording context: id, sequence counter and the open-span
-/// stack (entry sequence numbers only — the guard owns the rest).
+/// Per-thread recording context: id, span sequence counter and the
+/// open-span stack.
 struct ThreadCtx {
     tid: u32,
     seq: u64,
@@ -180,19 +174,6 @@ thread_local! {
     static CTX: RefCell<ThreadCtx> = const {
         RefCell::new(ThreadCtx { tid: 0, seq: 0, stack: Vec::new() })
     };
-}
-
-/// Returns `(tid, next seq)` for the calling thread, assigning a tid on
-/// first use. Enabled path only.
-fn next_seq() -> (u32, u64) {
-    CTX.with(|ctx| {
-        let mut ctx = ctx.borrow_mut();
-        if ctx.tid == 0 {
-            ctx.tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-        }
-        ctx.seq += 1;
-        (ctx.tid, ctx.seq)
-    })
 }
 
 /// The observability thread id of the calling thread, assigning one on
@@ -337,26 +318,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Adds `delta` to the counter `name`. No-op without a subscriber.
-#[inline]
-pub fn counter_add(name: &'static str, delta: u64) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    let (tid, seq) = next_seq();
-    with_subscriber(|sub| sub.counter(tid, seq, name, delta));
-}
-
-/// Sets the gauge `name` to `value`. No-op without a subscriber.
-#[inline]
-pub fn gauge_set(name: &'static str, value: f64) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    let (tid, seq) = next_seq();
-    with_subscriber(|sub| sub.gauge(tid, seq, name, value));
-}
-
 /// Records `value` into the log-bucket histogram `name`. No-op without a
 /// subscriber.
 #[inline]
@@ -364,8 +325,8 @@ pub fn hist_record(name: &'static str, value: u64) {
     if !ENABLED.load(Ordering::Relaxed) {
         return;
     }
-    let (tid, seq) = next_seq();
-    with_subscriber(|sub| sub.histogram(tid, seq, name, value));
+    let tid = current_tid();
+    with_subscriber(|sub| sub.histogram(tid, name, value));
 }
 
 /// Attributes `value` units of work in `domain` to the netlist site named
@@ -389,9 +350,9 @@ where
     if !ENABLED.load(Ordering::Relaxed) {
         return;
     }
-    let (tid, seq) = next_seq();
+    let tid = current_tid();
     let site = site();
-    with_subscriber(|sub| sub.attribution(tid, seq, domain, site.as_ref(), value));
+    with_subscriber(|sub| sub.attribution(tid, domain, site.as_ref(), value));
 }
 
 /// Fires an instant event with a lazily-rendered text. `text` only runs
@@ -402,10 +363,8 @@ pub fn instant<F: FnOnce() -> String>(name: &'static str, text: F) {
     if !ENABLED.load(Ordering::Relaxed) {
         return;
     }
-    let (tid, seq) = next_seq();
     let rec = InstantRecord {
-        tid,
-        seq,
+        tid: current_tid(),
         t_ns: wall_ns(),
         name,
         text: text(),
@@ -447,7 +406,7 @@ mod tests {
     struct Capture {
         spans: Mutex<Vec<SpanRecord>>,
         instants: Mutex<Vec<InstantRecord>>,
-        counters: Mutex<Vec<(&'static str, u64)>>,
+        hists: Mutex<Vec<(&'static str, u64)>>,
     }
 
     impl Subscriber for Capture {
@@ -457,8 +416,8 @@ mod tests {
         fn instant(&self, rec: InstantRecord) {
             self.instants.lock().unwrap().push(rec);
         }
-        fn counter(&self, _tid: u32, _seq: u64, name: &'static str, delta: u64) {
-            self.counters.lock().unwrap().push((name, delta));
+        fn histogram(&self, _tid: u32, name: &'static str, value: u64) {
+            self.hists.lock().unwrap().push((name, value));
         }
     }
 
@@ -541,19 +500,19 @@ mod tests {
     }
 
     #[test]
-    fn instants_and_counters_flow_through() {
+    fn instants_and_histograms_flow_through() {
         let _serial = test_support::serial();
         let cap = Arc::new(Capture::default());
         set_subscriber(Some(cap.clone()));
-        counter_add("edits", 3);
+        hist_record("edits", 3);
         instant("ev", || "hello".into());
         set_subscriber(None);
         assert!(cap
-            .counters
+            .hists
             .lock()
             .unwrap()
             .iter()
-            .any(|&(n, d)| n == "edits" && d == 3));
+            .any(|&(n, v)| n == "edits" && v == 3));
         assert!(cap
             .instants
             .lock()

@@ -3,10 +3,11 @@
 
 /// A completed hierarchical span, delivered on guard drop.
 ///
-/// `enter_seq`/`exit_seq` are per-thread monotone sequence numbers shared
-/// with metric and instant records, so "did event E happen inside span S"
-/// is the exact integer test `S.enter_seq < E.seq < S.exit_seq` on the
-/// same `tid` — no timestamp comparisons, no clock-granularity ties.
+/// `enter_seq`/`exit_seq` are per-thread monotone sequence numbers taken
+/// at span entry and exit, so "does span A lie inside span B" is the
+/// exact integer test `B.enter_seq < A.enter_seq && A.exit_seq <
+/// B.exit_seq` on the same `tid` — no timestamp comparisons, no
+/// clock-granularity ties.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// Observability thread id (process-unique, assigned on first use).
@@ -40,8 +41,6 @@ pub struct SpanRecord {
 pub struct InstantRecord {
     /// Observability thread id.
     pub tid: u32,
-    /// Per-thread sequence number.
-    pub seq: u64,
     /// Timestamp on the shared [`crate::wall_ns`] timeline.
     pub t_ns: u64,
     /// Static event name, e.g. `"gscale.iteration"`.

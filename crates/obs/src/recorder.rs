@@ -48,20 +48,14 @@ struct SinkData {
 /// One thread's metric aggregates over some stretch of its stream.
 #[derive(Default)]
 struct Aggs {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
     hists: BTreeMap<&'static str, Hist>,
     attrs: BTreeMap<&'static str, AttrTable>,
 }
 
 impl Aggs {
     /// Folds a later stretch's aggregates into this one: counts and sums
-    /// add, gauges keep the later value. O(`later`).
+    /// add. O(`later`).
     fn absorb(&mut self, later: Aggs) {
-        for (name, delta) in later.counters {
-            *self.counters.entry(name).or_insert(0) += delta;
-        }
-        self.gauges.extend(later.gauges);
         for (name, hist) in later.hists {
             self.hists.entry(name).or_default().merge(&hist);
         }
@@ -155,17 +149,6 @@ impl Recorder {
         let aggs = &data.window;
         Rollup {
             spans: spans.into_values().collect(),
-            counters: aggs
-                .counters
-                .iter()
-                .filter(|&(_, &delta)| delta > 0)
-                .map(|(&name, &delta)| (name.to_string(), delta))
-                .collect(),
-            gauges: aggs
-                .gauges
-                .iter()
-                .map(|(&name, &value)| (name.to_string(), value))
-                .collect(),
             hists: aggs
                 .hists
                 .iter()
@@ -181,7 +164,7 @@ impl Recorder {
 
     /// Takes every buffered record, leaving the recorder empty. Threads
     /// are merged in observability-tid order (their registration order)
-    /// with each thread's records in their original sequence order, so
+    /// with each thread's records in the order it made them, so
     /// the layout is deterministic for any interleaving. Costs O(what was
     /// recorded).
     ///
@@ -193,7 +176,6 @@ impl Recorder {
     pub fn drain(&self) -> Trace {
         let sinks = std::mem::take(&mut *self.sinks.write().expect("recorder poisoned"));
         let mut trace = Trace::default();
-        // folded in tid order, so the highest-tid writer of a gauge wins
         let mut aggs = Aggs::default();
         for (tid, sink) in sinks {
             let mut data = sink.data.lock().expect("recorder poisoned");
@@ -205,8 +187,6 @@ impl Recorder {
                 trace.thread_labels.insert(tid, label);
             }
         }
-        trace.counters = owned_keys(aggs.counters);
-        trace.gauges = owned_keys(aggs.gauges);
         trace.hists = owned_keys(aggs.hists);
         trace.attrs = owned_keys(aggs.attrs);
         trace
@@ -219,19 +199,7 @@ impl Subscriber for Recorder {
         sink.data.lock().expect("recorder poisoned").spans.push(rec);
     }
 
-    fn counter(&self, tid: u32, _seq: u64, name: &'static str, delta: u64) {
-        let sink = self.sink(tid);
-        let mut data = sink.data.lock().expect("recorder poisoned");
-        *data.window.counters.entry(name).or_insert(0) += delta;
-    }
-
-    fn gauge(&self, tid: u32, _seq: u64, name: &'static str, value: f64) {
-        let sink = self.sink(tid);
-        let mut data = sink.data.lock().expect("recorder poisoned");
-        data.window.gauges.insert(name, value);
-    }
-
-    fn histogram(&self, tid: u32, _seq: u64, name: &'static str, value: u64) {
+    fn histogram(&self, tid: u32, name: &'static str, value: u64) {
         let sink = self.sink(tid);
         let mut data = sink.data.lock().expect("recorder poisoned");
         data.window.hists.entry(name).or_default().record(value);
@@ -251,7 +219,7 @@ impl Subscriber for Recorder {
         sink.data.lock().expect("recorder poisoned").label = Some(label.to_string());
     }
 
-    fn attribution(&self, tid: u32, _seq: u64, domain: &'static str, site: &str, value: u64) {
+    fn attribution(&self, tid: u32, domain: &'static str, site: &str, value: u64) {
         let sink = self.sink(tid);
         let mut data = sink.data.lock().expect("recorder poisoned");
         let table = data.window.attrs.entry(domain).or_default();
@@ -279,10 +247,6 @@ pub struct ObsMark {
 pub struct Rollup {
     /// Per-span-name totals, sorted by name.
     pub spans: Vec<SpanRollup>,
-    /// Counter deltas over the window (zero deltas omitted), sorted.
-    pub counters: Vec<(String, u64)>,
-    /// Final values of gauges set during the window, sorted.
-    pub gauges: Vec<(String, f64)>,
     /// Histogram windows with at least one sample, sorted by name.
     pub hists: Vec<HistRollup>,
     /// Per-domain attribution rollups with at least one record, sorted by
@@ -294,11 +258,7 @@ impl Rollup {
     /// `true` when the window recorded nothing at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-            && self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.hists.is_empty()
-            && self.attrs.is_empty()
+        self.spans.is_empty() && self.hists.is_empty() && self.attrs.is_empty()
     }
 
     /// Zeroes every nanosecond field, leaving counts and values intact —
@@ -372,10 +332,6 @@ pub struct Trace {
     pub spans: Vec<SpanRecord>,
     /// All instant events, grouped by thread in tid order.
     pub instants: Vec<InstantRecord>,
-    /// Counter totals across all threads, by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge final values (highest-tid writer wins), by name.
-    pub gauges: BTreeMap<String, f64>,
     /// Histogram totals across all threads, by name.
     pub hists: BTreeMap<String, Hist>,
     /// Attribution totals across all threads: `domain → site → (count,
@@ -418,22 +374,19 @@ mod tests {
     use super::*;
     use crate::attr::AttrSite;
     use crate::test_support;
-    use crate::{counter_add, gauge_set, hist_record, set_subscriber, span};
+    use crate::{hist_record, set_subscriber, span};
 
     #[test]
     fn mark_and_rollup_window_one_thread() {
         let _serial = test_support::serial();
         let rec = Arc::new(Recorder::new());
         set_subscriber(Some(rec.clone()));
-        counter_add("edits", 5);
         hist_record("h", 4);
         let mark = rec.mark();
         {
             let _outer = span("outer");
             let _inner = span("inner");
         }
-        counter_add("edits", 2);
-        gauge_set("nodes", 42.0);
         hist_record("h", 9);
         let roll = rec.rollup_since(&mark);
         set_subscriber(None);
@@ -441,8 +394,6 @@ mod tests {
 
         let names: Vec<&str> = roll.spans.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["inner", "outer"]);
-        assert_eq!(roll.counters, vec![("edits".to_string(), 2)]);
-        assert_eq!(roll.gauges, vec![("nodes".to_string(), 42.0)]);
         assert_eq!(roll.hists.len(), 1);
         let h = &roll.hists[0];
         assert_eq!((h.count, h.sum), (1, 9));
@@ -489,10 +440,10 @@ mod tests {
     fn hist_rollup_min_max_are_bucket_bounds() {
         let rec = Recorder::new();
         let tid = crate::current_tid();
-        rec.histogram(tid, 0, "h", 5);
+        rec.histogram(tid, "h", 5);
         let mark = rec.mark();
-        rec.histogram(tid, 0, "h", 9);
-        rec.histogram(tid, 0, "h", 1000);
+        rec.histogram(tid, "h", 9);
+        rec.histogram(tid, "h", 1000);
         let roll = rec.rollup_since(&mark);
         let h = &roll.hists[0];
         assert_eq!((h.count, h.sum), (2, 1009));
@@ -549,14 +500,13 @@ mod tests {
         set_subscriber(Some(rec.clone()));
         {
             let _a = span("main-span");
-            counter_add("c", 1);
+            hist_record("h", 7);
         }
         let handles: Vec<_> = (0..3)
             .map(|k| {
                 std::thread::spawn(move || {
                     crate::set_thread_label(|| format!("worker-{k}"));
                     let _s = span("worker-span");
-                    counter_add("c", 1);
                     hist_record("h", k);
                 })
             })
@@ -567,8 +517,8 @@ mod tests {
         set_subscriber(None);
         let trace = rec.drain();
         assert_eq!(trace.spans.len(), 4);
-        assert_eq!(trace.counters["c"], 4);
-        assert_eq!(trace.hists["h"].count, 3);
+        assert_eq!(trace.hists["h"].count, 4);
+        assert_eq!(trace.hists["h"].sum, 7 + 1 + 2);
         assert_eq!(trace.thread_labels.len(), 3);
         // tids strictly grouped and non-decreasing across the merge
         let tids: Vec<u32> = trace.spans.iter().map(|s| s.tid).collect();

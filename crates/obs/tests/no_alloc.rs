@@ -63,14 +63,14 @@ fn the_counting_allocator_counts() {
 fn disabled_path_allocates_nothing() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     assert!(
-        !dvs_obs::subscriber_installed(),
+        dvs_obs::set_subscriber(None).is_none(),
         "this test binary must stay subscriber-free"
     );
 
     // Warm-up outside the measured window (TLS init, lazy statics).
     {
         let _g = dvs_obs::span("warmup");
-        dvs_obs::counter_add("warmup", 1);
+        dvs_obs::hist_record("warmup", 1);
     }
 
     let before = alloc_calls();
@@ -78,8 +78,6 @@ fn disabled_path_allocates_nothing() {
         {
             let _g = dvs_obs::span("phase");
             let _h = dvs_obs::span_with("iter", || format!("detail {i}"));
-            dvs_obs::counter_add("pool.tasks", 1);
-            dvs_obs::gauge_set("session.nodes", i as f64);
             dvs_obs::hist_record("sta.events_per_change", i);
             dvs_obs::attr_add("sta.events", || format!("gate-{i}"), i);
             dvs_obs::instant("gscale.stop", || format!("iter {i}: stop"));

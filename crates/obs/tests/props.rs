@@ -43,7 +43,6 @@ fn run_program(ops: &[u8]) -> Vec<SpanRecord> {
                     stack.pop();
                 }
                 _ => {
-                    dvs_obs::counter_add("noise", 1);
                     dvs_obs::hist_record("noise.h", i as u64);
                     dvs_obs::instant("noise.i", String::new);
                 }
@@ -145,8 +144,6 @@ const SITES: [&str; 4] = ["g0", "g1", "g2", "g3"];
 /// One metric record of a generated stream.
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    Counter(&'static str, u64),
-    Gauge(&'static str, f64),
     Hist(&'static str, u64),
     Attr(&'static str, &'static str, u64),
 }
@@ -154,8 +151,6 @@ enum Event {
 impl Event {
     fn record(self) {
         match self {
-            Event::Counter(name, delta) => dvs_obs::counter_add(name, delta),
-            Event::Gauge(name, value) => dvs_obs::gauge_set(name, value),
             Event::Hist(name, value) => dvs_obs::hist_record(name, value),
             Event::Attr(domain, site, value) => dvs_obs::attr_add(domain, || site, value),
         }
@@ -174,11 +169,9 @@ enum Step {
 
 fn decode((kind, pick, raw): (u8, u8, u64)) -> Step {
     let name = METRICS[usize::from(pick) % METRICS.len()];
-    let small = raw % 8;
     let event = match kind % 8 {
-        0 | 1 => Event::Counter(name, small),
-        2 => Event::Gauge(name, (raw % 1000) as f64 / 8.0),
-        3 => Event::Hist(name, raw >> (pick % 64)),
+        0 | 1 => Event::Hist(name, raw % 8),
+        2 | 3 => Event::Hist(name, raw >> (pick % 64)),
         4 | 5 => Event::Attr(
             DOMAINS[usize::from(pick) % DOMAINS.len()],
             SITES[usize::from(pick / 2) % SITES.len()],
@@ -198,8 +191,6 @@ fn decode((kind, pick, raw): (u8, u8, u64)) -> Step {
 /// obvious way.
 #[derive(Default)]
 struct Naive {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
     hists: BTreeMap<&'static str, Vec<u64>>,
     attrs: BTreeMap<&'static str, BTreeMap<String, (u64, u64)>>,
 }
@@ -207,10 +198,6 @@ struct Naive {
 impl Naive {
     fn push(&mut self, event: Event) {
         match event {
-            Event::Counter(name, delta) => *self.counters.entry(name).or_insert(0) += delta,
-            Event::Gauge(name, value) => {
-                self.gauges.insert(name, value);
-            }
             Event::Hist(name, value) => self.hists.entry(name).or_default().push(value),
             Event::Attr(domain, site, value) => {
                 let cell = self
@@ -229,17 +216,6 @@ impl Naive {
     fn rollup(&self) -> Rollup {
         Rollup {
             spans: Vec::new(),
-            counters: self
-                .counters
-                .iter()
-                .filter(|&(_, &delta)| delta > 0)
-                .map(|(&name, &delta)| (name.to_string(), delta))
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|(&name, &value)| (name.to_string(), value))
-                .collect(),
             hists: self
                 .hists
                 .iter()
@@ -277,7 +253,7 @@ impl Naive {
 fn run_windows(steps: &[Step]) -> Result<(), TestCaseError> {
     let rec = Arc::new(Recorder::new());
     dvs_obs::set_subscriber(Some(rec.clone()));
-    // the helper registers after this thread, so its gauges win on drain
+    // the helper registers after this thread, so drain merges it second
     let main_tid = dvs_obs::current_tid();
     let (mut all_main, mut all_second) = (Naive::default(), Naive::default());
     std::thread::scope(|scope| {
@@ -327,17 +303,9 @@ fn run_windows(steps: &[Step]) -> Result<(), TestCaseError> {
 
     dvs_obs::set_subscriber(None);
     let trace = rec.drain();
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    let mut gauges: BTreeMap<String, f64> = BTreeMap::new();
     let mut hists: BTreeMap<String, Vec<u64>> = BTreeMap::new();
     let mut attrs: BTreeMap<String, BTreeMap<String, (u64, u64)>> = BTreeMap::new();
     for naive in [all_main, all_second] {
-        for (name, delta) in naive.counters {
-            *counters.entry(name.to_string()).or_insert(0) += delta;
-        }
-        for (name, value) in naive.gauges {
-            gauges.insert(name.to_string(), value);
-        }
         for (name, values) in naive.hists {
             hists.entry(name.to_string()).or_default().extend(values);
         }
@@ -350,8 +318,6 @@ fn run_windows(steps: &[Step]) -> Result<(), TestCaseError> {
             }
         }
     }
-    prop_assert_eq!(&trace.counters, &counters);
-    prop_assert_eq!(&trace.gauges, &gauges);
     prop_assert_eq!(&trace.attrs, &attrs);
     prop_assert_eq!(
         trace.hists.keys().collect::<Vec<_>>(),

@@ -1,6 +1,6 @@
 //! The enabled-path allocation contract: with a [`Recorder`] installed,
-//! counters and attribution to an already-recorded site perform **zero
-//! heap allocations** — a borrowed site name is looked up, not copied. A
+//! histogram samples and attribution to an already-recorded site perform
+//! **zero heap allocations** — a borrowed site name is looked up, not copied. A
 //! counting global allocator measures the hot loop directly.
 //!
 //! This binary installs a subscriber, so it is kept apart from
@@ -49,7 +49,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// The only test in this binary, so nothing else races the global
 /// subscriber slot.
 #[test]
-fn recorded_sites_and_counters_allocate_nothing() {
+fn recorded_sites_and_histograms_allocate_nothing() {
     let rec = Arc::new(Recorder::new());
     dvs_obs::set_subscriber(Some(rec.clone()));
     let mark = rec.mark();
@@ -57,12 +57,12 @@ fn recorded_sites_and_counters_allocate_nothing() {
     // First records create the thread's sink, its TLS context, the map
     // entries and the site's owned name.
     dvs_obs::attr_add("sta.events", || "g7", 1);
-    dvs_obs::counter_add("sta.edits", 1);
+    dvs_obs::hist_record("sta.events_per_change", 1);
 
     let before = alloc_calls();
     for i in 0..1000u64 {
         dvs_obs::attr_add("sta.events", || "g7", i);
-        dvs_obs::counter_add("sta.edits", 1);
+        dvs_obs::hist_record("sta.events_per_change", i);
     }
     let allocs = alloc_calls() - before;
 
@@ -70,9 +70,11 @@ fn recorded_sites_and_counters_allocate_nothing() {
     dvs_obs::set_subscriber(None);
     assert_eq!(
         allocs, 0,
-        "recorded attribution/counter path allocated {allocs} times"
+        "recorded attribution/histogram path allocated {allocs} times"
     );
-    assert_eq!(roll.counters, vec![("sta.edits".to_string(), 1001)]);
+    let hist = &roll.hists[0];
+    assert_eq!(hist.name, "sta.events_per_change");
+    assert_eq!((hist.count, hist.sum), (1001, 1 + (0..1000).sum::<u64>()));
     let sta = &roll.attrs[0];
     assert_eq!((sta.sites, sta.count), (1, 1001));
     assert_eq!(sta.sum, 1 + (0..1000).sum::<u64>());

@@ -24,11 +24,12 @@
 //!
 //! # Observability
 //!
-//! Every [`run_indexed`] call emits, *from the calling thread*, the
-//! deterministic batch shape: `pool.tasks` / `pool.batches` counters and
-//! a `pool.batch_items` histogram (for the wavefront simulator this is
-//! the level-width distribution). These are pure functions of the input
-//! slice, so per-scenario obs rollups stay byte-identical across worker
+//! Every [`run_indexed`] call records, *from the calling thread*, the
+//! deterministic batch shape: one `pool.batch_items` histogram sample of
+//! the batch length (for the wavefront simulator this is the level-width
+//! distribution). The histogram's `count` is the number of batches and
+//! its `sum` the number of tasks. Both are pure functions of the input
+//! slices, so per-scenario obs rollups stay byte-identical across worker
 //! counts. The *nondeterministic* execution shape — how many tasks each
 //! worker actually claimed, i.e. the steal/idle balance — is emitted from
 //! the worker threads themselves (`pool.tasks_per_worker`), which keeps
@@ -126,8 +127,8 @@ pub fn effective_jobs(jobs: usize, len: usize, min_items: usize) -> usize {
 /// `CpuTimer` readings honest: each item starts and stops its clocks on
 /// the one thread that runs it).
 ///
-/// The deterministic batch-shape metrics (`pool.tasks`, `pool.batches`,
-/// `pool.batch_items`) are emitted from the calling thread on every call,
+/// The deterministic batch-shape sample (`pool.batch_items`) is recorded
+/// from the calling thread on every call,
 /// including the `jobs == 1` sequential short-circuit, so callers that
 /// always route work through this function get obs streams that are
 /// independent of the worker count.
@@ -141,8 +142,6 @@ where
     T: Send,
     F: Fn(usize, &I) -> T + Sync,
 {
-    dvs_obs::counter_add("pool.batches", 1);
-    dvs_obs::counter_add("pool.tasks", items.len() as u64);
     dvs_obs::hist_record("pool.batch_items", items.len() as u64);
     let jobs = jobs.max(1).min(items.len().max(1));
     if jobs == 1 {

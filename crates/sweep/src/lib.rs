@@ -68,8 +68,6 @@
 //!             "self_ns": …,          // wall minus direct children
 //!             "cpu_ns": … }
 //!         ],
-//!         "counters": { "pool.batches": 12, "pool.tasks": 3410 },
-//!         "gauges": { "session.nodes": 27900 },
 //!         "hists": [                 // log2-bucket histograms (see dvs-obs docs)
 //!           { "name": "sta.events_per_change", "count": …, "sum": …,
 //!             "min": …, "max": …,
@@ -102,16 +100,19 @@
 //! paths absorb every edit incrementally — and CI asserts it.
 //!
 //! `v3` added the per-scenario `"obs"` rollup: everything the scenario's
-//! worker thread recorded through the [`dvs_obs`] registry while the
-//! scenario ran — span wall/self/CPU-time totals by name, counter deltas,
-//! final gauge values, and log₂-bucket histogram windows. The rollup is
+//! worker thread recorded through [`dvs_obs`] while the scenario ran —
+//! `"spans"`, the span wall/self/CPU-time totals by name, and `"hists"`,
+//! the log₂-bucket histogram windows. The rollup is
 //! **value-deterministic**: the window only sees the one thread that ran
-//! the scenario, so counts, bucket contents and gauge values are
-//! independent of `--jobs`; only the `*_ns` fields vary run to run, and
+//! the scenario, so counts and bucket contents are independent of
+//! `--jobs`; only the `*_ns` fields vary run to run, and
 //! `--deterministic` zeroes them (`"timing": false`) exactly like the
-//! `cpu_s`/`wall_s` columns. Session work is not mirrored into the
-//! registry: the `sta` objects are its one record, so `obs.counters`
-//! carries only the `pool.*` families below.
+//! `cpu_s`/`wall_s` columns. Session work is not mirrored into `obs`:
+//! the `sta` objects are its one record. Documents written before the
+//! counter and gauge kinds left `dvs-obs` also carry `"counters"` and
+//! `"gauges"` objects under the same `v7` tag. [`compare`] never read
+//! them, so `v7` readers are unaffected: old and new documents read
+//! alike.
 //!
 //! `v4` added the per-scenario `"attr"` block: **span-scoped
 //! attribution** — which gates, separators and edits the work went to,
@@ -142,12 +143,12 @@
 //! `v6` added the intra-circuit parallelism fields: each `sta` object's
 //! `par_tasks` / `par_batches`, the deterministic work-shape of the
 //! parallel paths (Dscale candidate-scoring fan-outs and wavefront
-//! power-refresh levels), plus the `pool.*` counter/histogram families
-//! in the `obs` rollup (`pool.tasks`, `pool.batches`, `pool.batch_items`
-//! — for the wavefront simulator the level-width distribution). All of
-//! them are pure functions of the scenario's network, **not** of the
-//! thread count: the [`dvs_pool`] pool emits them from the calling
-//! thread on every batch, including sequential short-circuits, so a
+//! power-refresh levels), plus the `pool.batch_items` histogram in the
+//! `obs` rollup (one sample per batch, its length; for the wavefront
+//! simulator the level-width distribution), whose `count` and `sum` are
+//! the batch and task totals. All of them are pure functions of the
+//! scenario's network, **not** of the thread count: the [`dvs_pool`]
+//! pool records them from the calling thread on every batch, including sequential short-circuits, so a
 //! `--circuit-jobs 4` document is byte-identical to a `--circuit-jobs 1`
 //! document under `--deterministic` (CI asserts exactly that). The
 //! nondeterministic execution split (`pool.tasks_per_worker`) is emitted

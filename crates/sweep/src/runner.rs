@@ -87,7 +87,7 @@ pub struct ScenarioResult {
     /// Per-thread CPU seconds for the whole scenario.
     pub cpu_s: f64,
     /// Observability rollup of everything this scenario's thread recorded
-    /// while it ran (span self-times, counters, gauges, histograms).
+    /// while it ran (span self-times and histograms).
     /// Empty when no [`Recorder`] was handed to the run.
     pub obs: Rollup,
 }
@@ -238,26 +238,6 @@ fn rollup_json(rollup: &Rollup, timing: bool) -> Json {
                             ("cpu_ns", Json::UInt(s.cpu_ns)),
                         ])
                     })
-                    .collect(),
-            ),
-        ),
-        (
-            "counters",
-            Json::Obj(
-                rollup
-                    .counters
-                    .iter()
-                    .map(|(name, v)| (name.clone(), Json::UInt(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "gauges",
-            Json::Obj(
-                rollup
-                    .gauges
-                    .iter()
-                    .map(|(name, v)| (name.clone(), Json::Num(*v)))
                     .collect(),
             ),
         ),
@@ -533,17 +513,8 @@ mod tests {
             for expect in ["cvs", "dscale", "gscale", "circuit", "scenario"] {
                 assert!(names.contains(&expect), "{}: no `{expect}` span", a.id);
             }
-            // session work is recorded in the `sta` objects only, never
-            // mirrored into the registry
+            // session work is recorded in the `sta` objects
             assert!(a.dscale.sta.sta_events > 0, "{}", a.id);
-            assert!(
-                a.obs
-                    .counters
-                    .iter()
-                    .all(|(n, _)| !n.starts_with("session.")),
-                "{}: session counters leaked into the registry",
-                a.id
-            );
             assert!(
                 a.obs
                     .hists

@@ -71,7 +71,7 @@ fn size_for_min_delay_per_pass(net: &mut Network, lib: &Library) -> f64 {
 struct TrialLog(Mutex<HashMap<u32, Vec<(String, u64)>>>);
 
 impl Subscriber for TrialLog {
-    fn attribution(&self, tid: u32, _seq: u64, domain: &'static str, site: &str, value: u64) {
+    fn attribution(&self, tid: u32, domain: &'static str, site: &str, value: u64) {
         if domain == "sta.events" {
             let mut log = self.0.lock().unwrap();
             log.entry(tid).or_default().push((site.to_string(), value));
