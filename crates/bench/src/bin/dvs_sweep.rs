@@ -11,7 +11,7 @@
 //! dvs-sweep --profiles des,C7552 --scale 1,10 --variants paper,tight-clock --seeds 0,1
 //! ```
 
-use std::fs::{File, OpenOptions};
+use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -287,14 +287,17 @@ fn run_compare(
     Ok(())
 }
 
-/// Opens every output path before the sweep, so a mistyped path fails at
-/// once instead of after the whole run. `--out` and `--folded-out` are only
-/// probed: append mode proves an existing document writable without
-/// truncating it, and a file the probe had to create is removed again, so
-/// a later failure leaves no empty document behind. The trace file is
-/// created and returned for the export.
-fn open_outputs(args: &Args) -> Result<Option<File>, String> {
-    for path in std::iter::once(&args.out).chain(&args.folded_out) {
+/// Probes every output path before the sweep, so a mistyped path fails at
+/// once instead of after the whole run. Append mode proves an existing
+/// document writable without truncating it, and a file the probe had to
+/// create is removed again, so a later failure leaves no empty document
+/// behind and an earlier one intact. Each output is written only once the
+/// sweep has finished.
+fn probe_outputs(args: &Args) -> Result<(), String> {
+    let paths = std::iter::once(&args.out)
+        .chain(&args.folded_out)
+        .chain(&args.trace_out);
+    for path in paths {
         let opened = |e: std::io::Error| format!("opening {}: {e}", path.display());
         match OpenOptions::new().write(true).create_new(true).open(path) {
             Ok(_) => std::fs::remove_file(path).map_err(opened)?,
@@ -304,10 +307,7 @@ fn open_outputs(args: &Args) -> Result<Option<File>, String> {
             Err(e) => return Err(opened(e)),
         }
     }
-    args.trace_out
-        .as_ref()
-        .map(|path| File::create(path).map_err(|e| format!("creating {}: {e}", path.display())))
-        .transpose()
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -319,13 +319,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let trace_file = match open_outputs(&args) {
-        Ok(file) => file,
-        Err(e) => {
-            eprintln!("dvs-sweep: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    if let Err(e) = probe_outputs(&args) {
+        eprintln!("dvs-sweep: {e}");
+        return ExitCode::FAILURE;
+    }
     let total = args.grid.len();
     // Oversubscription guard: sweep workers x intra-circuit threads must
     // not exceed the machine (see dvs_pool's policy note).
@@ -376,9 +373,9 @@ fn main() -> ExitCode {
             let _ = writeln!(err, "{}", inst.text);
         }
     }
-    if let (Some(mut file), Some(path)) = (trace_file, &args.trace_out) {
+    if let Some(path) = &args.trace_out {
         let doc = dvs_obs::chrome::render(&trace);
-        if let Err(e) = file.write_all(doc.as_bytes()) {
+        if let Err(e) = std::fs::write(path, &doc) {
             eprintln!("dvs-sweep: writing {}: {e}", path.display());
             return ExitCode::FAILURE;
         }

@@ -66,3 +66,38 @@ fn unwritable_folded_out_leaves_no_empty_document() {
     assert!(stderr.contains("/nonexistent-dir/x.folded"), "{stderr}");
     assert!(!left, "probing --out left {} behind", doc.display());
 }
+
+/// A sweep that aborts leaves an existing trace file as it was: the trace
+/// path is probed up front like `--out`, and written only after the sweep.
+/// The abort here is a scenario that fails Dscale's timing audit (C499 at
+/// scale 10 under salt 1, a known Dscale defect); once that defect is
+/// fixed, an injected scenario panic must take its place as the trigger.
+#[test]
+fn aborted_sweep_leaves_an_existing_trace_intact() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let trace = dir.join(format!("dvs_sweep_cli_trace_{pid}.json"));
+    let doc = dir.join(format!("dvs_sweep_cli_abort_{pid}.json"));
+    std::fs::write(&trace, "earlier trace\n").unwrap();
+    std::fs::remove_file(&doc).ok();
+    let out = dvs_sweep(&[
+        "--profiles",
+        "C499",
+        "--scale",
+        "10",
+        "--seeds",
+        "1",
+        "--out",
+        doc.to_str().unwrap(),
+        "--trace-out",
+        trace.to_str().unwrap(),
+    ]);
+    let kept = std::fs::read_to_string(&trace).unwrap();
+    std::fs::remove_file(&trace).ok();
+    std::fs::remove_file(&doc).ok();
+    assert!(!out.status.success(), "exit status {:?}", out.status);
+    assert_eq!(
+        kept, "earlier trace\n",
+        "the aborted sweep truncated --trace-out"
+    );
+}

@@ -20,6 +20,13 @@ const EPS: f64 = 1e-12;
 /// constraint by re-timing arrivals only in the fanout cones of the edited
 /// gates and re-deriving every required time in one backward pass over a
 /// flat topological index.
+///
+/// A gate edit that may be taken back is cheaper as a *trial*:
+/// [`Timing::trial_gate_change`] does the forward half of
+/// [`Timing::apply_gate_change`] (loads, delays and arrivals) and logs every
+/// value it overwrites; [`Timing::keep_trial`] then runs the backward half,
+/// and [`Timing::undo_trial`] restores the logged values instead. Required
+/// times never move during a trial.
 #[derive(Debug, Clone)]
 pub struct Timing {
     tspec_ns: f64,
@@ -41,6 +48,20 @@ pub struct Timing {
     queued: Vec<bool>,
     /// Worklist of the incremental propagations, empty between calls.
     heap: BinaryHeap<(i64, NodeId)>,
+    /// The nodes whose load or delay the open trial moved, which seed its
+    /// backward pass; `None` when no trial is open.
+    trial: Option<Vec<NodeId>>,
+    /// Every value the open trial overwrote, oldest first; empty between
+    /// trials.
+    trial_log: Vec<Saved>,
+}
+
+/// A value overwritten by a trial.
+#[derive(Debug, Clone, Copy)]
+enum Saved {
+    Arrival(NodeId, f64),
+    /// Load and delay of a node.
+    Gate(NodeId, f64, f64),
 }
 
 /// The live nodes of a network in topological order, with each node's
@@ -117,6 +138,8 @@ impl Timing {
             index: None,
             queued: Vec::new(),
             heap: BinaryHeap::new(),
+            trial: None,
+            trial_log: Vec::new(),
         };
         t.rebuild(net, lib);
         t
@@ -127,6 +150,7 @@ impl Timing {
     /// topological order — and rebuilds the flat topological index that
     /// its own sweep and [`Timing::retarget`] read.
     pub fn rebuild(&mut self, net: &Network, lib: &Library) {
+        debug_assert!(self.trial.is_none(), "rebuild with a trial open");
         let n = net.node_count();
         self.po_sinks = po_sink_counts(net);
         self.po_drivers = (0..n)
@@ -180,15 +204,19 @@ impl Timing {
     /// * the network saw no structural edit (no converter insertion or
     ///   removal — those need [`Timing::rebuild`]), and
     /// * every gate whose size or rail differs from that analysis is in
-    ///   `changed`. A gate edited and restored again, each time through
-    ///   [`Timing::apply_gate_change`], may be left out: the restoring
-    ///   update recomputes every value it moved from the original inputs.
+    ///   `changed`. A gate whose trial [`Timing::undo_trial`] took back may
+    ///   be left out, since the undo restores every value the trial
+    ///   overwrote, bit for bit; so may a gate edited and restored again,
+    ///   each time through [`Timing::apply_gate_change`], since the
+    ///   restoring update recomputes every value it moved from the original
+    ///   inputs.
     ///
     /// # Panics
     ///
     /// If a converter was inserted or removed since the last
     /// [`Timing::analyze`] / [`Timing::rebuild`].
     pub fn retarget(&mut self, net: &Network, lib: &Library, tspec_ns: f64, changed: &[NodeId]) {
+        debug_assert!(self.trial.is_none(), "retarget with a trial open");
         let index = self.index.take().expect(
             "Timing::retarget after a converter insertion or removal: call Timing::rebuild first",
         );
@@ -364,36 +392,107 @@ impl Timing {
     /// re-derivations plus worklist arrival/required evaluations) — the
     /// instrumentation currency the flow layer reports as "STA events".
     pub fn apply_gate_change(&mut self, net: &Network, lib: &Library, changed: NodeId) -> usize {
-        let mut touched = vec![changed];
-        touched.extend_from_slice(net.fanins(changed));
-        let mut events = touched.len();
-        let mut delay_moved = Vec::new();
-        for &id in &touched {
-            let new_load = load_pf(net, lib, id, &self.po_sinks);
-            let new_delay = gate_delay(net, lib, id, new_load);
-            if (new_delay - self.delay[id.index()]).abs() > EPS
-                || (new_load - self.load[id.index()]).abs() > EPS
-            {
-                self.load[id.index()] = new_load;
-                self.delay[id.index()] = new_delay;
-                delay_moved.push(id);
-            }
-        }
-        events += self.propagate_forward(net, delay_moved.iter().copied());
-        // Required times of the moved gates' fanins depend on the moved
-        // delays; seed the backward pass with those fanins plus the moved
-        // nodes themselves (whose own required may change via fanouts —
-        // unchanged here, but re-checking is cheap and keeps this correct
-        // when callers batch changes).
-        let mut seeds = Vec::new();
-        for &id in &delay_moved {
-            seeds.push(id);
-            seeds.extend_from_slice(net.fanins(id));
-        }
-        events += self.propagate_backward(net, seeds.into_iter());
+        debug_assert!(self.trial.is_none(), "apply_gate_change with a trial open");
+        let (forward, moved) = self.change_forward(net, lib, changed, false);
+        let events = forward + self.change_backward(net, &moved);
         dvs_obs::hist_record("sta.events_per_change", events as u64);
         dvs_obs::attr_add("sta.events", || net.node(changed).name(), events as u64);
         events
+    }
+
+    /// Opens a trial of an edit to `changed`: the forward half of
+    /// [`Timing::apply_gate_change`], under the same tolerance. Load and
+    /// delay of `changed` and its fanins are re-derived and arrivals
+    /// propagated downstream; required times are left alone, so until the
+    /// trial is closed they (and slacks) describe the network before the
+    /// edit. Every overwritten value is logged.
+    ///
+    /// Close the trial with [`Timing::keep_trial`] or
+    /// [`Timing::undo_trial`] before any other update. Arrivals, and so
+    /// [`Timing::critical_delay_ns`] and [`Timing::meets_constraint`], may
+    /// be read while it is open. A trial records no observability events.
+    pub fn trial_gate_change(&mut self, net: &Network, lib: &Library, changed: NodeId) {
+        debug_assert!(self.trial.is_none(), "a trial is already open");
+        let (_, moved) = self.change_forward(net, lib, changed, true);
+        self.trial = Some(moved);
+    }
+
+    /// Keeps the open trial: runs the backward pass that
+    /// [`Timing::apply_gate_change`] would have run, from the same seeds,
+    /// so the result is bit-identical to applying the edit directly.
+    ///
+    /// # Panics
+    ///
+    /// If no trial is open.
+    pub fn keep_trial(&mut self, net: &Network) {
+        let moved = self.trial.take().expect("no trial is open");
+        self.trial_log.clear();
+        self.change_backward(net, &moved);
+    }
+
+    /// Takes the open trial back: restores every logged value in reverse
+    /// order, which returns every arrival, load and delay to its exact bits
+    /// before the trial. The caller restores the network edit itself.
+    ///
+    /// # Panics
+    ///
+    /// If no trial is open.
+    pub fn undo_trial(&mut self) {
+        self.trial.take().expect("no trial is open");
+        while let Some(saved) = self.trial_log.pop() {
+            match saved {
+                Saved::Arrival(id, arrival) => self.arrival[id.index()] = arrival,
+                Saved::Gate(id, load, delay) => {
+                    self.load[id.index()] = load;
+                    self.delay[id.index()] = delay;
+                }
+            }
+        }
+    }
+
+    /// The forward half of a gate change: re-derives load and delay of
+    /// `changed` and its fanins, keeping a value that moves by `EPS` or
+    /// less, and propagates arrivals from the moved nodes, logging every
+    /// overwritten value in `trial_log` when `log` is set. Returns the
+    /// number of node recomputations and the moved nodes.
+    fn change_forward(
+        &mut self,
+        net: &Network,
+        lib: &Library,
+        changed: NodeId,
+        log: bool,
+    ) -> (usize, Vec<NodeId>) {
+        let mut moved = Vec::new();
+        let touched = std::iter::once(changed).chain(net.fanins(changed).iter().copied());
+        for id in touched {
+            let new_load = load_pf(net, lib, id, &self.po_sinks);
+            let new_delay = gate_delay(net, lib, id, new_load);
+            let (load, delay) = (self.load[id.index()], self.delay[id.index()]);
+            if (new_delay - delay).abs() > EPS || (new_load - load).abs() > EPS {
+                if log {
+                    self.trial_log.push(Saved::Gate(id, load, delay));
+                }
+                self.load[id.index()] = new_load;
+                self.delay[id.index()] = new_delay;
+                moved.push(id);
+            }
+        }
+        let events =
+            1 + net.fanins(changed).len() + self.propagate_forward(net, moved.iter().copied(), log);
+        (events, moved)
+    }
+
+    /// The backward half of a gate change: required times of the `moved`
+    /// nodes' fanins depend on the moved delays; seed the backward pass
+    /// with those fanins plus the moved nodes themselves (whose own
+    /// required may change via fanouts — unchanged here, but re-checking is
+    /// cheap and keeps this correct when callers batch changes). Returns
+    /// the number of node recomputations.
+    fn change_backward(&mut self, net: &Network, moved: &[NodeId]) -> usize {
+        let seeds = moved
+            .iter()
+            .flat_map(|&id| std::iter::once(id).chain(net.fanins(id).iter().copied()));
+        self.propagate_backward(net, seeds)
     }
 
     /// Incrementally absorbs a [`Network::insert_converter`] edit: grows the
@@ -412,6 +511,10 @@ impl Timing {
         lib: &Library,
         conv: NodeId,
     ) -> usize {
+        debug_assert!(
+            self.trial.is_none(),
+            "converter insertion with a trial open"
+        );
         let n = net.node_count();
         debug_assert_eq!(conv.index(), n - 1, "converter is always the newest slot");
         let driver = net.fanins(conv)[0];
@@ -432,7 +535,7 @@ impl Timing {
         let fwd = [driver, conv]
             .into_iter()
             .chain(net.fanouts(conv).iter().copied());
-        events += self.propagate_forward(net, fwd);
+        events += self.propagate_forward(net, fwd, false);
         let bwd = [conv, driver]
             .into_iter()
             .chain(net.fanins(driver).iter().copied());
@@ -461,6 +564,7 @@ impl Timing {
         conv: NodeId,
         driver: NodeId,
     ) -> usize {
+        debug_assert!(self.trial.is_none(), "converter removal with a trial open");
         debug_assert!(net.node(conv).is_dead());
         let cix = conv.index();
         self.arrival[cix] = 0.0;
@@ -472,7 +576,7 @@ impl Timing {
         self.rederive(net, lib, driver);
         let mut events = 1;
         let fwd = std::iter::once(driver).chain(net.fanouts(driver).iter().copied());
-        events += self.propagate_forward(net, fwd);
+        events += self.propagate_forward(net, fwd, false);
         let bwd = std::iter::once(driver).chain(net.fanins(driver).iter().copied());
         events += self.propagate_backward(net, bwd);
         dvs_obs::hist_record("sta.events_per_change", events as u64);
@@ -506,7 +610,14 @@ impl Timing {
         }
     }
 
-    fn propagate_forward(&mut self, net: &Network, seeds: impl Iterator<Item = NodeId>) -> usize {
+    /// Propagates arrivals from `seeds` until quiescence, logging every
+    /// overwritten arrival in `trial_log` when `log` is set.
+    fn propagate_forward(
+        &mut self,
+        net: &Network,
+        seeds: impl Iterator<Item = NodeId>,
+        log: bool,
+    ) -> usize {
         // min-heap on topological position (BinaryHeap is a max-heap, so
         // store negated positions)
         let mut heap = std::mem::take(&mut self.heap);
@@ -522,7 +633,11 @@ impl Timing {
             queued[id.index()] = false;
             events += 1;
             let fresh = self.compute_arrival(net, id);
-            if (fresh - self.arrival[id.index()]).abs() > EPS {
+            let old = self.arrival[id.index()];
+            if (fresh - old).abs() > EPS {
+                if log {
+                    self.trial_log.push(Saved::Arrival(id, old));
+                }
                 self.arrival[id.index()] = fresh;
                 for &fo in net.fanouts(id) {
                     if !queued[fo.index()] {

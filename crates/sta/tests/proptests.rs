@@ -115,21 +115,130 @@ fn edit_gate(net: &mut Network, lib: &Library, g: NodeId, rail: bool) {
     }
 }
 
-/// One TILOS-style trial on `g`: edit it and absorb the edit
-/// incrementally; unless `keep`, undo it again through the same path.
-fn trial(net: &mut Network, lib: &Library, t: &mut Timing, g: NodeId, rail: bool, keep: bool) {
-    edit_gate(net, lib, g, rail);
-    t.apply_gate_change(net, lib, g);
-    if !keep {
-        if rail {
-            edit_gate(net, lib, g, true);
-        } else {
-            let sizes = lib.cell(net.node(g).cell()).sizes().len();
-            let prev = (net.node(g).size().index() + sizes - 1) % sizes;
-            net.set_size(g, SizeIx(prev as u8));
-        }
-        t.apply_gate_change(net, lib, g);
+/// Reverts [`edit_gate`].
+fn unedit_gate(net: &mut Network, lib: &Library, g: NodeId, rail: bool) {
+    if rail {
+        edit_gate(net, lib, g, true);
+    } else {
+        let sizes = lib.cell(net.node(g).cell()).sizes().len();
+        let prev = (net.node(g).size().index() + sizes - 1) % sizes;
+        net.set_size(g, SizeIx(prev as u8));
     }
+}
+
+/// How a trial that is not kept is taken back.
+#[derive(Clone, Copy)]
+enum Undo {
+    /// Revert the edit and absorb it through its own incremental update.
+    Reapply,
+    /// Open the trial with `trial_gate_change` and restore its log.
+    Log,
+}
+
+/// One TILOS-style trial on `g`: edit it and absorb the edit
+/// incrementally; unless `keep`, undo it again as `undo` says.
+fn trial(
+    net: &mut Network,
+    lib: &Library,
+    t: &mut Timing,
+    g: NodeId,
+    rail: bool,
+    keep: bool,
+    undo: Undo,
+) {
+    edit_gate(net, lib, g, rail);
+    match undo {
+        Undo::Reapply => {
+            t.apply_gate_change(net, lib, g);
+            if !keep {
+                unedit_gate(net, lib, g, rail);
+                t.apply_gate_change(net, lib, g);
+            }
+        }
+        Undo::Log => {
+            t.trial_gate_change(net, lib, g);
+            if keep {
+                t.keep_trial(net);
+            } else {
+                t.undo_trial();
+                unedit_gate(net, lib, g, rail);
+            }
+        }
+    }
+}
+
+/// Asserts every per-node value of `a` equals `b`'s bit for bit.
+fn assert_same_bits(a: &Timing, b: &Timing, net: &Network) -> Result<(), TestCaseError> {
+    for id in net.node_ids() {
+        prop_assert_eq!(
+            a.arrival_ns(id).to_bits(),
+            b.arrival_ns(id).to_bits(),
+            "arrival {}",
+            id
+        );
+        prop_assert_eq!(
+            a.required_ns(id).to_bits(),
+            b.required_ns(id).to_bits(),
+            "required {}",
+            id
+        );
+        prop_assert_eq!(
+            a.load_pf(id).to_bits(),
+            b.load_pf(id).to_bits(),
+            "load {}",
+            id
+        );
+        prop_assert_eq!(
+            a.delay_ns(id).to_bits(),
+            b.delay_ns(id).to_bits(),
+            "delay {}",
+            id
+        );
+    }
+    Ok(())
+}
+
+/// Runs `ops` `(pick, rail, keep)` as logged trials on the gates of `net`,
+/// each checked against `apply_gate_change` on a clone: while the trial is
+/// open its arrivals equal the direct update's, a kept trial leaves the
+/// direct update's bits and an undone one the bits from before the trial.
+/// Kept trials over [`cone_lib`] leave sub-tolerance stale values, which an
+/// undo must restore as they were.
+fn trials_match_direct_updates(
+    net: &mut Network,
+    lib: &Library,
+    ops: &[(u32, bool, bool)],
+) -> Result<(), TestCaseError> {
+    let gates: Vec<NodeId> = net.gate_ids().collect();
+    let mut t = Timing::analyze(net, lib, 8.0);
+    for &(pick, rail, keep) in ops {
+        let g = gates[pick as usize % gates.len()];
+        let before = t.clone();
+        edit_gate(net, lib, g, rail);
+        let mut direct = t.clone();
+        direct.apply_gate_change(net, lib, g);
+        t.trial_gate_change(net, lib, g);
+        for id in net.node_ids() {
+            prop_assert_eq!(t.arrival_ns(id).to_bits(), direct.arrival_ns(id).to_bits());
+            prop_assert_eq!(
+                t.required_ns(id).to_bits(),
+                before.required_ns(id).to_bits()
+            );
+        }
+        prop_assert_eq!(
+            t.worst_po_slack().to_bits(),
+            direct.worst_po_slack().to_bits()
+        );
+        if keep {
+            t.keep_trial(net);
+            assert_same_bits(&t, &direct, net)?;
+        } else {
+            t.undo_trial();
+            unedit_gate(net, lib, g, rail);
+            assert_same_bits(&t, &before, net)?;
+        }
+    }
+    Ok(())
 }
 
 /// A library whose first size step moves input capacitance and intrinsic
@@ -231,20 +340,21 @@ fn cone_network_strategy() -> impl Strategy<Value = Network> {
         })
 }
 
-/// Runs `ops` as trials on gates picked from `pool`, re-anchoring after
-/// each one (kept gates listed in `changed`) at its constraint, or at the
-/// current critical delay when it gives none, and checks every re-anchor
-/// against a fresh analysis.
+/// Runs `ops` as trials on gates picked from `pool`, taking rejected ones
+/// back as `undo` says and re-anchoring after each one (kept gates listed
+/// in `changed`) at its constraint, or at the current critical delay when
+/// it gives none, and checks every re-anchor against a fresh analysis.
 fn retarget_after_trials(
     net: &mut Network,
     lib: &Library,
     pool: &[NodeId],
     ops: &[(u32, bool, bool, Option<f64>)],
+    undo: Undo,
 ) -> Result<(), TestCaseError> {
     let mut t = Timing::analyze(net, lib, 8.0);
     for &(pick, rail, keep, tspec) in ops {
         let g = pool[pick as usize % pool.len()];
-        trial(net, lib, &mut t, g, rail, keep);
+        trial(net, lib, &mut t, g, rail, keep, undo);
         let changed: &[NodeId] = if keep { &[g] } else { &[] };
         let tspec = tspec.unwrap_or_else(|| t.critical_delay_ns(net));
         t.retarget(net, lib, tspec, changed);
@@ -290,7 +400,7 @@ proptest! {
         for (pick, rail, mode, tspec) in ops {
             let g = gates[pick as usize % gates.len()];
             // mode 0 is a rejected trial
-            trial(&mut net, &lib, &mut t, g, rail, mode != 0);
+            trial(&mut net, &lib, &mut t, g, rail, mode != 0, Undo::Reapply);
             if mode != 0 {
                 changed.push(g);
             }
@@ -319,7 +429,7 @@ proptest! {
             .filter(|&g| net.fanouts(g).is_empty() && !net.drives_output(g))
             .collect();
         prop_assume!(!pool.is_empty());
-        retarget_after_trials(&mut net, &lib, &pool, &ops)?;
+        retarget_after_trials(&mut net, &lib, &pool, &ops, Undo::Reapply)?;
     }
 
     /// A sink wired twice to one driver lists it twice among its fanins and
@@ -342,7 +452,7 @@ proptest! {
             }
         }
         prop_assume!(!pool.is_empty());
-        retarget_after_trials(&mut net, &lib, &pool, &ops)?;
+        retarget_after_trials(&mut net, &lib, &pool, &ops, Undo::Reapply)?;
     }
 
     /// Kept gates whose fanins are all primary inputs seed the cone walk
@@ -359,7 +469,7 @@ proptest! {
             .filter(|&g| net.fanins(g).iter().all(|&f| net.node(f).is_input()))
             .collect();
         prop_assume!(!pool.is_empty());
-        retarget_after_trials(&mut net, &lib, &pool, &ops)?;
+        retarget_after_trials(&mut net, &lib, &pool, &ops, Undo::Reapply)?;
     }
 
     /// Several kept gates, each followed by one of its fanouts so their
@@ -378,16 +488,16 @@ proptest! {
         let mut changed = Vec::new();
         for (pick, rail, repeat) in picks {
             let g = gates[pick as usize % gates.len()];
-            trial(&mut net, &lib, &mut t, g, rail, true);
+            trial(&mut net, &lib, &mut t, g, rail, true, Undo::Reapply);
             changed.push(g);
             if let Some(&fo) = net.fanouts(g).first() {
-                trial(&mut net, &lib, &mut t, fo, !rail, true);
+                trial(&mut net, &lib, &mut t, fo, !rail, true, Undo::Reapply);
                 changed.push(fo);
             }
             match repeat {
                 0 => changed.push(g),
                 1 => {
-                    trial(&mut net, &lib, &mut t, g, rail, true);
+                    trial(&mut net, &lib, &mut t, g, rail, true, Undo::Reapply);
                     changed.push(g);
                 }
                 _ => {}
@@ -410,7 +520,7 @@ proptest! {
         let mut t = Timing::analyze(&net, &lib, 8.0);
         for (pick, rail, tspec) in ops {
             let g = gates[pick as usize % gates.len()];
-            trial(&mut net, &lib, &mut t, g, rail, false);
+            trial(&mut net, &lib, &mut t, g, rail, false, Undo::Reapply);
             let arrivals: Vec<u64> = net.node_ids().map(|id| t.arrival_ns(id).to_bits()).collect();
             t.retarget(&net, &lib, tspec, &[]);
             let after: Vec<u64> = net.node_ids().map(|id| t.arrival_ns(id).to_bits()).collect();
@@ -429,7 +539,54 @@ proptest! {
         let lib = cone_lib();
         let mut net = net;
         let gates: Vec<NodeId> = net.gate_ids().collect();
-        retarget_after_trials(&mut net, &lib, &gates, &ops)?;
+        retarget_after_trials(&mut net, &lib, &gates, &ops, Undo::Reapply)?;
+    }
+
+    /// A logged trial agrees with `apply_gate_change` when kept and
+    /// restores every bit when undone, over the real library.
+    #[test]
+    fn trial_matches_apply_gate_change_and_undo_restores_every_bit(
+        net in network_strategy(),
+        ops in proptest::collection::vec((any::<u32>(), any::<bool>(), any::<bool>()), 1..24),
+    ) {
+        let mut net = net;
+        prop_assume!(net.gate_count() > 0);
+        trials_match_direct_updates(&mut net, &lib(), &ops)?;
+    }
+
+    /// The same over [`cone_lib`], whose kept steps leave sub-tolerance
+    /// stale values behind for undone trials to restore unchanged.
+    #[test]
+    fn trial_matches_apply_gate_change_and_undo_restores_stale_bits(
+        net in cone_network_strategy(),
+        ops in proptest::collection::vec((any::<u32>(), any::<bool>(), any::<bool>()), 1..32),
+    ) {
+        let mut net = net;
+        trials_match_direct_updates(&mut net, &cone_lib(), &ops)?;
+    }
+
+    /// TILOS's own pattern: rejected trials taken back through the log,
+    /// then re-anchors naming only the kept gates.
+    #[test]
+    fn retarget_after_undone_trials_over_the_real_library(
+        net in network_strategy(),
+        ops in ops_strategy(8..32),
+    ) {
+        let mut net = net;
+        let gates: Vec<NodeId> = net.gate_ids().collect();
+        prop_assume!(!gates.is_empty());
+        retarget_after_trials(&mut net, &lib(), &gates, &ops, Undo::Log)?;
+    }
+
+    /// The same over [`cone_lib`], with long runs of trials.
+    #[test]
+    fn retarget_after_undone_trials_over_stale_values(
+        net in cone_network_strategy(),
+        ops in ops_strategy(24..64),
+    ) {
+        let mut net = net;
+        let gates: Vec<NodeId> = net.gate_ids().collect();
+        retarget_after_trials(&mut net, &cone_lib(), &gates, &ops, Undo::Log)?;
     }
 
     #[test]

@@ -128,6 +128,11 @@
 //! | `flow.augmenting_paths` | `{gate}+{n}` cut id | augmenting paths   |
 //! | `power.cone_nodes`      | circuit name        | re-simulated nodes |
 //!
+//! `sta.events` and the `sta.events_per_change` histogram cover the edits
+//! the flow applies; preparation's size trials record neither, and TILOS
+//! sizing records each pass's trial count in the `synth.tilos_trials`
+//! histogram instead.
+//!
 //! Every attribution value is an **integer** (power pre-scaled to
 //! nanowatts and rounded at the recording site), so unlike the `*_ns`
 //! fields the whole `attr` block is byte-identical across worker counts

@@ -2,7 +2,7 @@
 
 use dvs_celllib::Library;
 use dvs_netlist::{Network, NodeId, SizeIx};
-use dvs_sta::Timing;
+use dvs_sta::{load_pf, po_sink_counts, Timing};
 
 /// Outcome of [`prepare`]: the network the voltage-scaling algorithms
 /// receive, together with its timing constraint.
@@ -43,14 +43,19 @@ pub struct Prepared {
 /// exactly as a scan of all gates sorted by entry slack would try them.
 ///
 /// One [`Timing`] serves the whole call: [`Timing::analyze`] runs once,
-/// trials update it incrementally (a rejected step is restored exactly),
-/// and each new pass re-anchors it with [`Timing::retarget`], whose result
-/// is bit-identical to a fresh analysis at the new anchor. Besides its
-/// trials, a pass costs the re-timing of the kept steps' fanout cones, one
-/// backward pass over the network's flat topological index, two linear
-/// slack scans and sorts of the frontier and of the (usually empty) late
-/// arrivals, and it makes the same trials in the same order as
-/// re-analysing and sorting every gate would.
+/// each step is a [`Timing::trial_gate_change`] that re-times only the
+/// arrivals downstream of the step (the keep/reject decision reads nothing
+/// else), a kept step runs the backward pass of required times with
+/// [`Timing::keep_trial`] and a rejected one is restored bit for bit with
+/// [`Timing::undo_trial`]. Each new pass re-anchors it with
+/// [`Timing::retarget`], whose result is bit-identical to a fresh analysis
+/// at the new anchor. Besides its trials, a pass costs the re-timing of the
+/// kept steps' fanout cones, one backward pass over the network's flat
+/// topological index, two linear slack scans and sorts of the frontier and
+/// of the (usually empty) late arrivals, and it makes the same trials in
+/// the same order as re-analysing and sorting every gate would. Each pass
+/// records its number of trials in the `synth.tilos_trials` histogram;
+/// trials record no STA events.
 pub fn size_for_min_delay(net: &mut Network, lib: &Library) -> f64 {
     let mut timing = Timing::analyze(net, lib, 0.0);
     let mut best = timing.critical_delay_ns(net);
@@ -62,6 +67,7 @@ pub fn size_for_min_delay(net: &mut Network, lib: &Library) -> f64 {
     loop {
         order.clear();
         kept.clear();
+        let mut trials = 0;
         for g in net.gate_ids() {
             let slack = timing.slack_ns(g);
             entry_slack[g.index()] = slack;
@@ -73,11 +79,12 @@ pub fn size_for_min_delay(net: &mut Network, lib: &Library) -> f64 {
         // frontier's stretch of the entry order of all gates
         order.sort_unstable_by(|&a, &b| entry_order(&entry_slack, a, b));
         for &g in &order {
-            if try_upsize(net, lib, &mut timing, g, &mut best) {
+            if try_upsize(net, lib, &mut timing, g, &mut best, &mut trials) {
                 kept.push(g);
             }
         }
         if kept.is_empty() {
+            dvs_obs::hist_record("synth.tilos_trials", trials);
             return best;
         }
         // After a kept step, gates off the entry frontier whose slack has
@@ -96,13 +103,14 @@ pub fn size_for_min_delay(net: &mut Network, lib: &Library) -> f64 {
             order.sort_unstable_by(|&a, &b| entry_order(&entry_slack, a, b));
             let Some(k) = order
                 .iter()
-                .position(|&g| try_upsize(net, lib, &mut timing, g, &mut best))
+                .position(|&g| try_upsize(net, lib, &mut timing, g, &mut best, &mut trials))
             else {
                 break;
             };
             kept.push(order[k]);
             last = Some(order[k]);
         }
+        dvs_obs::hist_record("synth.tilos_trials", trials);
         timing.retarget(net, lib, best, &kept);
     }
 }
@@ -121,29 +129,36 @@ fn entry_order(slack: &[f64], a: NodeId, b: NodeId) -> std::cmp::Ordering {
 }
 
 /// One TILOS trial: if `g` can grow and still has zero slack, up-size it one
-/// step and keep the step when the block delay drops below `best` by more
-/// than 1e-9 ns (updating `best`); otherwise restore `g`, which returns
-/// `timing` to its exact previous values. Returns whether the step was kept.
+/// step (counted in `trials`) and keep the step when the block delay drops
+/// below `best` by more than 1e-9 ns (updating `best`); otherwise restore
+/// `g`. The decision reads only arrivals, so the step is a
+/// [`Timing::trial_gate_change`]: a kept step then gets its required times
+/// from [`Timing::keep_trial`], exactly as [`Timing::apply_gate_change`]
+/// would give them, and [`Timing::undo_trial`] returns `timing` to its
+/// exact previous values. Returns whether the step was kept.
 fn try_upsize(
     net: &mut Network,
     lib: &Library,
     timing: &mut Timing,
     g: NodeId,
     best: &mut f64,
+    trials: &mut u64,
 ) -> bool {
     if at_max_size(net, lib, g) || timing.slack_ns(g) > 1e-9 {
         return false;
     }
+    *trials += 1;
     let cur = net.node(g).size();
     net.set_size(g, SizeIx(cur.0 + 1));
-    timing.apply_gate_change(net, lib, g);
+    timing.trial_gate_change(net, lib, g);
     let new_delay = timing.critical_delay_ns(net);
     if new_delay < *best - 1e-9 {
+        timing.keep_trial(net);
         *best = new_delay;
         true
     } else {
+        timing.undo_trial();
         net.set_size(g, cur);
-        timing.apply_gate_change(net, lib, g);
         false
     }
 }
@@ -153,9 +168,16 @@ fn try_upsize(
 /// timing budget for area exactly like the paper's re-map at 120 % of the
 /// minimum delay.
 ///
+/// Each step is a [`Timing::trial_gate_change`], since the decision
+/// ([`Timing::meets_constraint`]) reads only arrivals: a kept step runs the
+/// backward pass with [`Timing::keep_trial`], a rejected one is restored
+/// bit for bit with [`Timing::undo_trial`]. Primary-output drivers are
+/// found from one count of the outputs per node, taken up front.
+///
 /// Returns the number of down-sizing steps applied.
 pub fn recover_area(net: &mut Network, lib: &Library, tspec_ns: f64) -> usize {
     let mut timing = Timing::analyze(net, lib, tspec_ns);
+    let po_counts = po_sink_counts(net);
     let mut steps = 0;
     loop {
         let mut changed = false;
@@ -163,7 +185,7 @@ pub fn recover_area(net: &mut Network, lib: &Library, tspec_ns: f64) -> usize {
             .gate_ids()
             // primary-output drivers keep their mapped drive: pad loads are
             // pinned by output slew rules, not by timing slack
-            .filter(|&g| net.node(g).size().index() > 0 && !net.drives_output(g))
+            .filter(|&g| net.node(g).size().index() > 0 && po_counts[g.index()] == 0)
             .map(|g| {
                 // area recovered per ns of delay given back: a real mapper
                 // spends the slack where it buys the most area, which keeps
@@ -191,13 +213,14 @@ pub fn recover_area(net: &mut Network, lib: &Library, tspec_ns: f64) -> usize {
                 continue;
             }
             net.set_size(g, smaller);
-            timing.apply_gate_change(net, lib, g);
+            timing.trial_gate_change(net, lib, g);
             if timing.meets_constraint(1e-9) {
+                timing.keep_trial(net);
                 steps += 1;
                 changed = true;
             } else {
+                timing.undo_trial();
                 net.set_size(g, cur);
-                timing.apply_gate_change(net, lib, g);
             }
         }
         if !changed {
@@ -234,20 +257,28 @@ pub fn prepare(mut network: Network, lib: &Library, slack_factor: f64) -> Prepar
 /// drive that may legally carry their pad load (mappers fix output slew
 /// before timing; internal nets keep whatever the mapper chose). Sink
 /// input capacitances grow as sizes bump, so iterate to a fixpoint.
+///
+/// Only the drivers' loads are read, so each iteration takes a snapshot of
+/// them with [`load_pf`] (the function and inputs a [`Timing::analyze`]
+/// would use, so the same bits) before it bumps anything; the drivers
+/// themselves come from one count of the outputs per node.
 pub fn electrical_correction(net: &mut Network, lib: &Library) -> usize {
+    let po_counts = po_sink_counts(net);
+    let drivers: Vec<NodeId> = net
+        .gate_ids()
+        .filter(|&g| po_counts[g.index()] > 0)
+        .collect();
+    let mut loads = Vec::with_capacity(drivers.len());
     let mut bumped = 0;
     loop {
-        let timing = Timing::analyze(net, lib, 0.0);
+        loads.clear();
+        loads.extend(drivers.iter().map(|&g| load_pf(net, lib, g, &po_counts)));
         let mut changed = false;
-        for g in net.gate_ids().collect::<Vec<_>>() {
-            if !net.drives_output(g) {
-                continue;
-            }
+        for (&g, &load) in drivers.iter().zip(&loads) {
             let node = net.node(g);
             let cell = lib.cell(node.cell());
             let mut size = node.size();
-            while size.index() + 1 < cell.sizes().len()
-                && timing.load_pf(g) > lib.max_load_pf(node.cell(), size)
+            while size.index() + 1 < cell.sizes().len() && load > lib.max_load_pf(node.cell(), size)
             {
                 size = SizeIx(size.0 + 1);
             }
