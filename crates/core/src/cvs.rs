@@ -3,7 +3,7 @@
 //! and `Gscale` start from.
 
 use dvs_celllib::Library;
-use dvs_netlist::{Checkpoint, Network, NodeId, Rail};
+use dvs_netlist::{Network, NodeId, Rail};
 use dvs_sta::Timing;
 
 use crate::demote::{demotion_fits, DemotionPlan};
@@ -89,10 +89,9 @@ pub(crate) fn cvs_counted(
 /// [`crate::session`]'s "CVS replay".
 #[derive(Debug)]
 pub(crate) struct CvsMemo {
-    /// The checkpoint whose fresh state the pass started from.
-    pub(crate) from: Checkpoint,
-    /// The edit-journal length at `from`: a rollback below it may rebuild
-    /// a different state at an equal checkpoint, so it drops the memo.
+    /// The edit-journal length of the fresh state the pass started from:
+    /// the memo's key, dropped by a rollback below it, which may rebuild a
+    /// different state of that length.
     pub(crate) journal_len: usize,
     /// `guard_ns.to_bits()` of the recorded pass.
     pub(crate) guard_bits: u64,

@@ -27,10 +27,14 @@
 //! * **CVS replay** — [`crate::run_circuit`] rolls back to its base
 //!   checkpoint before `Dscale` and `Gscale`, and both open with the same
 //!   CVS pass the CVS phase already ran. The session therefore records the
-//!   first pass that starts from a *fresh* state (right after
-//!   [`FlowSession::new`] or a [`FlowSession::rollback`], before any edit)
-//!   and replays it when [`FlowSession::run_cvs`] is called again from the
-//!   same checkpoint's fresh state with the same `guard_ns` bits. The
+//!   first pass that starts from a *fresh* state, one whose edit journal
+//!   is as long as at the last full analysis ([`FlowSession::new`] or a
+//!   [`FlowSession::rollback`]), and replays it when
+//!   [`FlowSession::run_cvs`] is called again from a fresh state at the
+//!   same journal length with the same `guard_ns` bits. Freshness needs no
+//!   bookkeeping in the edit methods: every edit that changes the network
+//!   grows the journal, and a no-op edit (a rail or size set to its
+//!   current value) moves neither the network nor a timing bit. The
 //!   replay re-applies the recorded demotions in order as journaled rail
 //!   edits (so later rollbacks undo them), bumps the same counters, emits
 //!   the same `cvs` span, `sta.events_per_change` samples and
@@ -40,8 +44,7 @@
 //!   and both timings come from a from-scratch [`Timing::analyze`]. No
 //!   power delta is queued, as in the live pass (rail flips change no
 //!   activity). A rollback that truncates the journal below the recorded
-//!   checkpoint drops the memo, since an equal checkpoint taken later may
-//!   describe a different state.
+//!   length drops the memo, since a later state of that length may differ.
 
 use dvs_celllib::Library;
 use dvs_netlist::{Checkpoint, Network, NodeId, Rail, SizeIx};
@@ -157,10 +160,10 @@ pub struct FlowSession<'l> {
     /// [`FlowSession::capture_separators`] so benchmarks can time max-flow
     /// algorithms on the exact production inputs.
     pub(crate) captured_separators: Option<Vec<dvs_flow::SeparatorProblem>>,
-    /// The checkpoint the current state is the fresh image of: set by
-    /// [`FlowSession::new`] and [`FlowSession::rollback`], cleared by every
-    /// edit and by [`FlowSession::run_cvs`].
-    fresh_at: Option<Checkpoint>,
+    /// The journal length at the last full analysis, by
+    /// [`FlowSession::new`] or [`FlowSession::rollback`]: the state is
+    /// fresh while the journal has not grown past it.
+    analyzed_len: usize,
     /// The CVS pass recorded from a fresh state, replayed by a later
     /// [`FlowSession::run_cvs`] from the same state with the same guard.
     cvs_memo: Option<CvsMemo>,
@@ -184,7 +187,7 @@ impl<'l> FlowSession<'l> {
     pub fn new(mut net: Network, lib: &'l Library, tspec_ns: f64) -> Self {
         net.enable_journal();
         let timing = Timing::analyze(&net, lib, tspec_ns);
-        let fresh_at = Some(net.checkpoint());
+        let analyzed_len = net.journal_len();
         FlowSession {
             net,
             lib,
@@ -196,7 +199,7 @@ impl<'l> FlowSession<'l> {
             },
             power: None,
             captured_separators: None,
-            fresh_at,
+            analyzed_len,
             cvs_memo: None,
         }
     }
@@ -262,7 +265,6 @@ impl<'l> FlowSession<'l> {
     /// Reassigns `g`'s supply rail and incrementally re-times the affected
     /// cone. Returns the number of STA worklist events processed.
     pub fn set_rail(&mut self, g: NodeId, rail: Rail) -> usize {
-        self.fresh_at = None;
         self.net.set_rail(g, rail);
         if let Some(p) = self.power.as_mut() {
             p.note(PowerDelta::Rail(g));
@@ -277,7 +279,6 @@ impl<'l> FlowSession<'l> {
     /// Reassigns `g`'s drive size and incrementally re-times the affected
     /// cone. Returns the number of STA worklist events processed.
     pub fn set_size(&mut self, g: NodeId, size: SizeIx) -> usize {
-        self.fresh_at = None;
         self.net.set_size(g, size);
         if let Some(p) = self.power.as_mut() {
             p.note(PowerDelta::SetSize(g));
@@ -306,7 +307,6 @@ impl<'l> FlowSession<'l> {
         let conv = self
             .net
             .insert_converter(driver, sinks, cover_outputs, self.lib.converter())?;
-        self.fresh_at = None;
         if let Some(p) = self.power.as_mut() {
             p.note(PowerDelta::ConverterInserted { conv, driver });
         }
@@ -336,7 +336,6 @@ impl<'l> FlowSession<'l> {
             Vec::new()
         };
         self.net.remove_converter(conv)?;
-        self.fresh_at = None;
         let driver = driver.expect("remove_converter validated a single fanin");
         if let Some(p) = self.power.as_mut() {
             p.note(PowerDelta::ConverterRemoved {
@@ -368,7 +367,7 @@ impl<'l> FlowSession<'l> {
     pub fn rollback(&mut self, cp: Checkpoint) {
         let touched = self.net.rollback_to(cp);
         self.timing = Timing::analyze(&self.net, self.lib, self.tspec_ns);
-        self.fresh_at = Some(cp);
+        self.analyzed_len = self.net.journal_len();
         if matches!(&self.cvs_memo, Some(m) if self.net.journal_len() < m.journal_len) {
             self.cvs_memo = None;
         }
@@ -480,7 +479,8 @@ impl<'l> FlowSession<'l> {
     /// would, so [`FlowCounters::sta_events`] still counts the CVS work,
     /// while the CPU it costs is that of the replay.
     pub fn run_cvs(&mut self, guard_ns: f64) -> CvsOutcome {
-        let fresh = self.fresh_at.take();
+        let journal_len = self.net.journal_len();
+        let fresh = journal_len == self.analyzed_len;
         let FlowSession {
             net,
             lib,
@@ -489,18 +489,18 @@ impl<'l> FlowSession<'l> {
             cvs_memo,
             ..
         } = self;
-        match (fresh, cvs_memo.as_ref()) {
-            (Some(from), Some(m)) if m.from == from && m.guard_bits == guard_ns.to_bits() => {
+        match cvs_memo.as_ref() {
+            Some(m)
+                if fresh && m.journal_len == journal_len && m.guard_bits == guard_ns.to_bits() =>
+            {
                 m.replay(net, timing, counters)
             }
             _ => {
-                let journal_len = net.journal_len();
                 let mut events = Vec::new();
                 let out =
                     crate::cvs::cvs_counted(net, lib, timing, guard_ns, counters, &mut events);
-                if let Some(from) = fresh {
+                if fresh {
                     *cvs_memo = Some(CvsMemo {
-                        from,
                         journal_len,
                         guard_bits: guard_ns.to_bits(),
                         outcome: out.clone(),
@@ -684,9 +684,9 @@ mod tests {
         let base = sess.checkpoint();
         let first = sess.run_cvs(1e-9);
         assert!(!first.lowered.is_empty());
-        assert_eq!(sess.fresh_at, None);
+        assert_ne!(sess.net.journal_len(), sess.analyzed_len);
         sess.rollback(base);
-        assert_eq!(sess.fresh_at, Some(base));
+        assert_eq!(sess.net.journal_len(), sess.analyzed_len);
         // a replay hands back the recorded outcome: tag it to tell
         let tag = NodeId::from_index(0);
         sess.cvs_memo
@@ -696,9 +696,13 @@ mod tests {
             .tcb
             .push(tag);
         assert_eq!(sess.run_cvs(1e-9).tcb.last(), Some(&tag));
-        // after an edit, or with another guard, the pass runs live
+        // a no-op edit journals nothing and moves no bit: still a replay
         sess.rollback(base);
         sess.set_size(first.lowered[0], SizeIx(0));
+        assert_eq!(sess.run_cvs(1e-9).tcb.last(), Some(&tag));
+        // after a real edit, or with another guard, the pass runs live
+        sess.rollback(base);
+        sess.set_size(first.lowered[0], SizeIx(1));
         assert_ne!(sess.run_cvs(1e-9).tcb.last(), Some(&tag));
         sess.rollback(base);
         assert_ne!(sess.run_cvs(2e-9).tcb.last(), Some(&tag));

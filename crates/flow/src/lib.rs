@@ -17,9 +17,7 @@
 //!   transitive (comparability) graph of a DAG, used by `Dscale` to select
 //!   simultaneous voltage reductions that never share a path. Computed as a
 //!   minimum flow with node lower bounds (two max-flow runs), the weighted
-//!   generalisation of Dilworth's theorem;
-//! * [`oracle`] — brute-force reference implementations, kept public so
-//!   small designs can be certified end-to-end.
+//!   generalisation of Dilworth's theorem.
 //!
 //! Capacities are `u64`; real-valued weights (power gains, area/time
 //! ratios) are quantised by the caller — see [`quantize`]. [`INF`] marks
@@ -43,7 +41,6 @@
 
 mod antichain;
 mod graph;
-pub mod oracle;
 mod separator;
 
 pub use antichain::max_weight_antichain;

@@ -1,10 +1,11 @@
-//! Brute-force reference implementations.
+//! Brute-force reference implementations, shared by the test binaries
+//! with `mod oracle;`.
 //!
 //! Exponential-time but obviously correct versions of the crate's
-//! optimisers. They back the property-based tests and remain public so that
-//! users can certify results on small designs (≤ ~20 nodes).
+//! optimisers, for small instances (≤ ~20 nodes). Their own checks live in
+//! `structured.rs`.
 
-use crate::INF;
+use dvs_flow::INF;
 
 /// Reachability closure as one bool matrix row per node (`reach[u][v]` ⇒
 /// `u` reaches `v`, irreflexive).
@@ -134,52 +135,4 @@ pub fn brute_separator(
         }
     }
     best
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn closure_transits() {
-        let c = closure(3, &[(0, 1), (1, 2)]);
-        assert!(c[0][2]);
-        assert!(!c[2][0]);
-        assert!(!c[0][0]);
-    }
-
-    #[test]
-    fn antichain_predicate() {
-        let edges = [(0, 1), (1, 2)];
-        assert!(is_antichain(3, &edges, &[0]));
-        assert!(is_antichain(3, &edges, &[]));
-        assert!(!is_antichain(3, &edges, &[0, 2]));
-    }
-
-    #[test]
-    fn brute_antichain_simple() {
-        let (w, set) = brute_antichain(3, &[(0, 1), (0, 2)], &[1, 2, 3]);
-        assert_eq!(w, 5);
-        assert_eq!(set, vec![1, 2]);
-    }
-
-    #[test]
-    fn separator_predicate() {
-        let edges = [(0, 1), (1, 2)];
-        assert!(is_separator(3, &edges, &[0], &[2], &[1]));
-        assert!(is_separator(3, &edges, &[0], &[2], &[0]));
-        assert!(!is_separator(3, &edges, &[0], &[2], &[]));
-    }
-
-    #[test]
-    fn brute_separator_simple() {
-        let (w, set) = brute_separator(3, &[(0, 1), (1, 2)], &[5, 2, 7], &[0], &[2]).unwrap();
-        assert_eq!(w, 2);
-        assert_eq!(set, vec![1]);
-    }
-
-    #[test]
-    fn brute_separator_none_when_all_inf() {
-        assert!(brute_separator(2, &[(0, 1)], &[INF, INF], &[0], &[1]).is_none());
-    }
 }

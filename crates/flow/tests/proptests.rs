@@ -1,8 +1,10 @@
 //! Property-based certification of the flow-based optimisers against the
 //! brute-force oracles, over random small DAGs.
 
-use dvs_flow::{max_weight_antichain, min_vertex_separator, oracle, SeparatorProblem, INF};
+use dvs_flow::{max_weight_antichain, min_vertex_separator, SeparatorProblem, INF};
 use proptest::prelude::*;
+
+mod oracle;
 
 /// Random DAG on `n` nodes: edges only go from lower to higher index, so
 /// acyclicity holds by construction.

@@ -2,7 +2,9 @@
 //! random-instance property tests with cases whose answers are provable by
 //! hand.
 
-use dvs_flow::{max_weight_antichain, min_vertex_separator, oracle, SeparatorProblem, INF};
+use dvs_flow::{max_weight_antichain, min_vertex_separator, SeparatorProblem, INF};
+
+mod oracle;
 
 /// `levels × width` grid DAG: node (l, i) → (l+1, i) and (l+1, (i+1) % w).
 fn grid(levels: usize, width: usize) -> (usize, Vec<(usize, usize)>) {
@@ -145,4 +147,81 @@ fn separator_weight_equals_flow_on_bottlenecks() {
     .unwrap();
     assert_eq!(r.nodes, vec![4]);
     assert_eq!(r.weight, 3);
+}
+
+#[test]
+fn result_is_antichain_and_matches_oracle_on_fixed_cases() {
+    type Case = (usize, Vec<(usize, usize)>, Vec<u64>);
+    let cases: &[Case] = &[
+        (5, vec![(0, 2), (1, 2), (2, 3), (2, 4)], vec![5, 4, 8, 3, 3]),
+        (
+            6,
+            vec![(0, 1), (1, 2), (3, 4), (4, 5), (0, 4)],
+            vec![7, 1, 5, 2, 9, 4],
+        ),
+        (4, vec![(0, 1), (2, 3)], vec![1, 2, 3, 4]),
+        (
+            7,
+            vec![(0, 3), (1, 3), (2, 3), (3, 4), (3, 5), (3, 6)],
+            vec![2, 2, 2, 5, 3, 3, 3],
+        ),
+    ];
+    for (n, edges, weights) in cases {
+        let (w, picked) = max_weight_antichain(*n, edges, weights);
+        assert!(
+            oracle::is_antichain(*n, edges, &picked),
+            "not an antichain: {picked:?}"
+        );
+        let (want, _) = oracle::brute_antichain(*n, edges, weights);
+        assert_eq!(w, want, "value mismatch on n={n} edges={edges:?}");
+    }
+}
+
+/// The oracle's own checks, on hand-sized graphs.
+mod oracle_tests {
+    use super::oracle::*;
+    use dvs_flow::INF;
+
+    #[test]
+    fn closure_transits() {
+        let c = closure(3, &[(0, 1), (1, 2)]);
+        assert!(c[0][2]);
+        assert!(!c[2][0]);
+        assert!(!c[0][0]);
+    }
+
+    #[test]
+    fn antichain_predicate() {
+        let edges = [(0, 1), (1, 2)];
+        assert!(is_antichain(3, &edges, &[0]));
+        assert!(is_antichain(3, &edges, &[]));
+        assert!(!is_antichain(3, &edges, &[0, 2]));
+    }
+
+    #[test]
+    fn brute_antichain_simple() {
+        let (w, set) = brute_antichain(3, &[(0, 1), (0, 2)], &[1, 2, 3]);
+        assert_eq!(w, 5);
+        assert_eq!(set, vec![1, 2]);
+    }
+
+    #[test]
+    fn separator_predicate() {
+        let edges = [(0, 1), (1, 2)];
+        assert!(is_separator(3, &edges, &[0], &[2], &[1]));
+        assert!(is_separator(3, &edges, &[0], &[2], &[0]));
+        assert!(!is_separator(3, &edges, &[0], &[2], &[]));
+    }
+
+    #[test]
+    fn brute_separator_simple() {
+        let (w, set) = brute_separator(3, &[(0, 1), (1, 2)], &[5, 2, 7], &[0], &[2]).unwrap();
+        assert_eq!(w, 2);
+        assert_eq!(set, vec![1]);
+    }
+
+    #[test]
+    fn brute_separator_none_when_all_inf() {
+        assert!(brute_separator(2, &[(0, 1)], &[INF, INF], &[0], &[1]).is_none());
+    }
 }

@@ -214,7 +214,7 @@ impl Network {
                         touched.push(sink);
                     }
                     for ix in moved_outputs {
-                        self.outputs[ix].1 = driver;
+                        self.set_output_driver(ix, driver);
                     }
                     self.fanouts[driver.index()] = driver_fanouts;
                     touched.push(driver);
@@ -249,7 +249,7 @@ impl Network {
                         touched.push(sink);
                     }
                     for ix in moved_outputs {
-                        self.outputs[ix].1 = conv;
+                        self.set_output_driver(ix, conv);
                     }
                     touched.push(conv);
                     touched.push(driver);
@@ -265,6 +265,7 @@ impl Network {
         }
         self.nodes.truncate(cp.nodes);
         self.fanouts.truncate(cp.nodes);
+        self.po_sinks.truncate(cp.nodes);
         self.journal = Some(journal);
         touched.sort_unstable();
         touched.dedup();

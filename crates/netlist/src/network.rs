@@ -202,6 +202,9 @@ pub struct Network {
     pub(crate) fanouts: Vec<Vec<NodeId>>,
     pub(crate) inputs: Vec<NodeId>,
     pub(crate) outputs: Vec<(String, NodeId)>,
+    /// Number of primary outputs each node drives, indexed by node slot;
+    /// kept in step with `outputs`.
+    pub(crate) po_sinks: Vec<u32>,
     pub(crate) by_name: BTreeMap<String, NodeId>,
     /// Number of live (non-tombstone) gate nodes, cached.
     pub(crate) live_gates: usize,
@@ -218,6 +221,7 @@ impl Network {
             fanouts: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
+            po_sinks: Vec::new(),
             by_name: BTreeMap::new(),
             live_gates: 0,
             journal: None,
@@ -239,6 +243,7 @@ impl Network {
         self.by_name.insert(node.name.clone(), id);
         self.nodes.push(node);
         self.fanouts.push(Vec::new());
+        self.po_sinks.push(0);
         id
     }
 
@@ -298,6 +303,7 @@ impl Network {
     pub fn add_output(&mut self, name: impl Into<String>, driver: NodeId) {
         assert!(driver.index() < self.nodes.len(), "driver out of range");
         self.outputs.push((name.into(), driver));
+        self.po_sinks[driver.index()] += 1;
     }
 
     /// Immutable access to a node.
@@ -362,9 +368,14 @@ impl Network {
         &self.outputs
     }
 
-    /// Returns `true` if `id` drives at least one primary output.
+    /// Number of primary outputs `id`'s output net drives, O(1).
+    pub fn po_sink_count(&self, id: NodeId) -> u32 {
+        self.po_sinks[id.index()]
+    }
+
+    /// Returns `true` if `id` drives at least one primary output, O(1).
     pub fn drives_output(&self, id: NodeId) -> bool {
-        self.outputs.iter().any(|(_, d)| *d == id)
+        self.po_sink_count(id) > 0
     }
 
     /// Iterates over the ids of all live nodes (inputs and gates).
@@ -442,8 +453,12 @@ impl Network {
         &mut self.fanouts[id.index()]
     }
 
-    pub(crate) fn outputs_mut(&mut self) -> &mut Vec<(String, NodeId)> {
-        &mut self.outputs
+    /// Moves primary output `ix` to `driver`, keeping the per-node output
+    /// counts in step.
+    pub(crate) fn set_output_driver(&mut self, ix: usize, driver: NodeId) {
+        let old = std::mem::replace(&mut self.outputs[ix].1, driver);
+        self.po_sinks[old.index()] -= 1;
+        self.po_sinks[driver.index()] += 1;
     }
 
     /// Generates a node name that is not yet used in the network.

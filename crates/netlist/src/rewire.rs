@@ -104,16 +104,11 @@ impl Network {
         for &s in sinks {
             self.replace_fanin(s, driver, conv);
         }
-        let mut moved_outputs = Vec::new();
-        if cover_outputs {
-            let drv = driver;
-            for (ix, out) in self.outputs_mut().iter_mut().enumerate() {
-                if out.1 == drv {
-                    out.1 = conv;
-                    moved_outputs.push(ix);
-                }
-            }
-        }
+        let moved_outputs = if cover_outputs {
+            self.move_outputs(driver, conv)
+        } else {
+            Vec::new()
+        };
         self.journal = journal;
         if let Some((driver_fanouts, sink_fanins)) = snapshot {
             self.record(crate::journal::EditOp::InsertConverter {
@@ -158,13 +153,7 @@ impl Network {
         for s in sinks {
             self.replace_fanin(s, conv, driver);
         }
-        let mut moved_outputs = Vec::new();
-        for (ix, out) in self.outputs_mut().iter_mut().enumerate() {
-            if out.1 == conv {
-                out.1 = driver;
-                moved_outputs.push(ix);
-            }
-        }
+        let moved_outputs = self.move_outputs(conv, driver);
         // Detach from the driver's fanout list and tombstone.
         self.fanouts_mut(driver).retain(|&x| x != conv);
         self.fanouts_mut(conv).clear();
@@ -181,6 +170,21 @@ impl Network {
             });
         }
         Ok(())
+    }
+
+    /// Moves every primary output driven by `from` to `to` and returns
+    /// their indices; scans the outputs only when `from` drives one.
+    fn move_outputs(&mut self, from: NodeId, to: NodeId) -> Vec<usize> {
+        if !self.drives_output(from) {
+            return Vec::new();
+        }
+        let moved: Vec<usize> = (0..self.outputs.len())
+            .filter(|&ix| self.outputs[ix].1 == from)
+            .collect();
+        for &ix in &moved {
+            self.set_output_driver(ix, to);
+        }
+        moved
     }
 }
 

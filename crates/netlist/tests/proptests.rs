@@ -36,6 +36,22 @@ fn network_strategy() -> impl Strategy<Value = Network> {
         })
 }
 
+/// Checks the network's per-node primary-output counts, and
+/// `drives_output`, against a from-scratch count over the primary outputs,
+/// on every node slot.
+fn check_output_counts(net: &Network) -> Result<(), TestCaseError> {
+    let mut want = vec![0u32; net.node_count()];
+    for (_, d) in net.primary_outputs() {
+        want[d.index()] += 1;
+    }
+    for (ix, &w) in want.iter().enumerate() {
+        let id = NodeId::from_index(ix);
+        prop_assert_eq!(net.po_sink_count(id), w, "output count of {}", id);
+        prop_assert_eq!(net.drives_output(id), w > 0, "drives_output of {}", id);
+    }
+    Ok(())
+}
+
 /// DFS reachability oracle.
 fn reaches_dfs(net: &Network, from: NodeId, to: NodeId) -> bool {
     let mut seen = vec![false; net.node_count()];
@@ -152,6 +168,7 @@ proptest! {
     fn converter_insert_remove_round_trips(
         net in network_strategy(),
         pick in any::<u32>(),
+        cover_outputs in any::<bool>(),
     ) {
         let mut net = net;
         // pick a gate with at least one gate fanout
@@ -170,15 +187,19 @@ proptest! {
         let fanins_before: Vec<Vec<NodeId>> =
             sinks.iter().map(|&s| net.fanins(s).to_vec()).collect();
         let edges_before = net.edge_count();
+        let outputs_before = net.primary_outputs().to_vec();
         let conv = net
-            .insert_converter(driver, &sinks, false, CellRef(99))
+            .insert_converter(driver, &sinks, cover_outputs, CellRef(99))
             .unwrap();
         prop_assert!(net.validate(None).is_ok());
         prop_assert_eq!(net.converter_count(), 1);
+        check_output_counts(&net)?;
         net.remove_converter(conv).unwrap();
         prop_assert!(net.validate(None).is_ok());
         prop_assert_eq!(net.converter_count(), 0);
         prop_assert_eq!(net.edge_count(), edges_before);
+        prop_assert_eq!(net.primary_outputs(), &outputs_before[..]);
+        check_output_counts(&net)?;
         for (s, before) in sinks.iter().zip(fanins_before) {
             prop_assert_eq!(net.fanins(*s), &before[..]);
         }
@@ -187,13 +208,16 @@ proptest! {
     #[test]
     fn journaled_edit_sequences_roll_back_exactly(
         net in network_strategy(),
-        ops in proptest::collection::vec((any::<u32>(), 0u8..4), 1..24),
+        ops in proptest::collection::vec((any::<u32>(), 0u8..5), 1..24),
     ) {
         let mut net = net;
         net.enable_journal();
         let reference = net.clone();
         let cp = net.checkpoint();
         let mut converters: Vec<NodeId> = Vec::new();
+        // an inner checkpoint with the converters live at it, rolled back
+        // to by the next kind-4 op
+        let mut inner: Option<(dvs_netlist::Checkpoint, Vec<NodeId>)> = None;
         for (seed, kind) in ops {
             let gates: Vec<NodeId> = net.gate_ids().collect();
             if gates.is_empty() { break; }
@@ -206,6 +230,19 @@ proptest! {
                 }),
                 1 => net.set_size(g, dvs_netlist::SizeIx((seed % 3) as u8)),
                 2 => {
+                    // a splice that covers outputs moves some only off a
+                    // gate that drives one: prefer such a gate
+                    let cover = seed % 2 == 0;
+                    let po_drivers: Vec<NodeId> = gates
+                        .iter()
+                        .copied()
+                        .filter(|&d| net.drives_output(d) && !net.fanouts(d).is_empty())
+                        .collect();
+                    let g = if cover && !po_drivers.is_empty() {
+                        po_drivers[(seed / 2) as usize % po_drivers.len()]
+                    } else {
+                        g
+                    };
                     let sinks: Vec<NodeId> = {
                         let mut s = net.fanouts(g).to_vec();
                         s.sort_unstable();
@@ -214,21 +251,30 @@ proptest! {
                     };
                     if !sinks.is_empty() && !net.node(g).is_converter() {
                         let conv = net
-                            .insert_converter(g, &sinks, seed % 2 == 0, CellRef(99))
+                            .insert_converter(g, &sinks, cover, CellRef(99))
                             .unwrap();
                         converters.push(conv);
                     }
                 }
-                _ => {
+                3 => {
                     if let Some(conv) = converters.pop() {
                         net.remove_converter(conv).unwrap();
                     }
                 }
+                _ => match inner.take() {
+                    Some((mid, live)) => {
+                        net.rollback_to(mid);
+                        converters = live;
+                    }
+                    None => inner = Some((net.checkpoint(), converters.clone())),
+                },
             }
             prop_assert!(net.validate(None).is_ok());
+            check_output_counts(&net)?;
         }
         net.rollback_to(cp);
         prop_assert!(net.validate(None).is_ok());
+        check_output_counts(&net)?;
         // exact restoration of every node slot, list orders included
         prop_assert_eq!(net.node_count(), reference.node_count());
         prop_assert_eq!(net.gate_count(), reference.gate_count());

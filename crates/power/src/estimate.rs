@@ -2,7 +2,7 @@
 
 use dvs_celllib::Library;
 use dvs_netlist::{Network, NodeId, Rail};
-use dvs_sta::{load_pf, po_sink_counts};
+use dvs_sta::load_pf;
 
 use crate::Activities;
 
@@ -48,10 +48,7 @@ impl PowerBreakdown {
 /// Panics if `acts` was computed on a network with fewer node slots (stale
 /// after a structural edit — re-run [`crate::simulate`] first).
 pub fn estimate(net: &Network, lib: &Library, acts: &Activities, fclk_mhz: f64) -> PowerBreakdown {
-    let po_counts = po_sink_counts(net);
-    estimate_with(net, lib, acts, fclk_mhz, |id| {
-        load_pf(net, lib, id, &po_counts)
-    })
+    estimate_with(net, lib, acts, fclk_mhz, |id| load_pf(net, lib, id))
 }
 
 /// The Eq. (1) summation loop with the load model injected: [`estimate`]

@@ -11,8 +11,8 @@
 //! * the node-major bit-parallel **waveforms** of every node (the raw
 //!   simulation state of [`crate::simulate`]),
 //! * the derived per-net **activities** (`p_one`/`sw01`),
-//! * the per-node capacitive **loads** (`load_pf` values) plus the
-//!   primary-output sink counts they depend on.
+//! * the per-node capacitive **loads** (`load_pf` values; the
+//!   primary-output sink counts they depend on are the network's own).
 //!
 //! Each netlist edit is reported as a [`PowerDelta`] (mirroring the edit
 //! journal's deltas); [`PowerState::refresh`] then absorbs a whole batch at
@@ -61,7 +61,7 @@
 
 use dvs_celllib::Library;
 use dvs_netlist::{FanoutCone, Network, NodeId};
-use dvs_sta::{load_pf, po_sink_counts};
+use dvs_sta::load_pf;
 
 use crate::estimate::estimate_with;
 use crate::sim::{eval_row_into, node_level, row_stats, simulate_data};
@@ -145,7 +145,6 @@ pub struct PowerState {
     values: Vec<u64>,
     acts: Activities,
     load: Vec<f64>,
-    po_counts: Vec<u32>,
     /// Logic level of every node, the wavefront's bucket key. Slots of
     /// dead nodes are stale, exactly like their waveform rows.
     level: Vec<u32>,
@@ -175,9 +174,8 @@ impl PowerState {
     ) -> Self {
         let probs = vec![0.5; net.primary_input_count()];
         let data = simulate_data(net, lib, vectors, seed, &probs, jobs);
-        let po_counts = po_sink_counts(net);
         let load = (0..net.node_count())
-            .map(|ix| load_pf(net, lib, NodeId::from_index(ix), &po_counts))
+            .map(|ix| load_pf(net, lib, NodeId::from_index(ix)))
             .collect();
         PowerState {
             vectors,
@@ -187,7 +185,6 @@ impl PowerState {
             values: data.values,
             acts: data.acts,
             load,
-            po_counts,
             level: data.level,
             pending: Vec::new(),
             jobs,
@@ -245,7 +242,6 @@ impl PowerState {
         // Classify the batch. All dirty sets are interpreted against the
         // *current* network: an id edited and later truncated/tombstoned
         // inside one batch is simply dropped (nothing live depends on it).
-        let mut structural = false;
         let mut seeds: Vec<NodeId> = Vec::new();
         let mut load_dirty: Vec<NodeId> = Vec::new();
         for d in &deltas {
@@ -257,18 +253,15 @@ impl PowerState {
                     }
                 }
                 PowerDelta::ConverterInserted { conv, driver } => {
-                    structural = true;
                     seeds.push(*conv);
                     load_dirty.push(*driver);
                     load_dirty.push(*conv);
                 }
                 PowerDelta::ConverterRemoved { driver, sinks, .. } => {
-                    structural = true;
                     seeds.extend_from_slice(sinks);
                     load_dirty.push(*driver);
                 }
                 PowerDelta::Rollback { touched } => {
-                    structural = true;
                     for &t in touched {
                         seeds.push(t);
                         load_dirty.push(t);
@@ -288,9 +281,6 @@ impl PowerState {
             self.acts.p_one.resize(n, 0.0);
             self.acts.sw01.resize(n, 0.0);
             self.load.resize(n, 0.0);
-        }
-        if structural {
-            self.po_counts = po_sink_counts(net);
         }
 
         // Cone re-simulation as a level-synchronous wavefront with early
@@ -391,7 +381,7 @@ impl PowerState {
             self.load[ix] = if net.node(id).is_dead() {
                 0.0
             } else {
-                load_pf(net, lib, id, &self.po_counts)
+                load_pf(net, lib, id)
             };
             stats.loads += 1;
         }

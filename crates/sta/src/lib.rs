@@ -51,6 +51,6 @@ mod paths;
 mod timing;
 
 pub use critical::CriticalPath;
-pub use load::{load_pf, po_sink_counts};
+pub use load::load_pf;
 pub use paths::{k_worst_paths, TimedPath};
 pub use timing::Timing;

@@ -3,32 +3,19 @@
 use dvs_celllib::Library;
 use dvs_netlist::{Network, NodeId};
 
-/// Counts, for every node, how many primary outputs its output net drives.
-///
-/// The result is indexed by [`NodeId::index`] and sized with
-/// [`Network::node_count`].
-pub fn po_sink_counts(net: &Network) -> Vec<u32> {
-    let mut counts = vec![0u32; net.node_count()];
-    for (_, driver) in net.primary_outputs() {
-        counts[driver.index()] += 1;
-    }
-    counts
-}
-
 /// Capacitive load (pF) seen by `node`'s output net.
 ///
 /// Sums the input-pin capacitances of all gate sinks (at their current drive
 /// sizes), a per-sink wire capacitance, and the library's primary-output
-/// load for each PO the net drives. `po_counts` must come from
-/// [`po_sink_counts`] on the same network.
-pub fn load_pf(net: &Network, lib: &Library, node: NodeId, po_counts: &[u32]) -> f64 {
+/// load for each PO the net drives ([`Network::po_sink_count`]).
+pub fn load_pf(net: &Network, lib: &Library, node: NodeId) -> f64 {
     let mut load = 0.0;
     for &sink in net.fanouts(node) {
         let s = net.node(sink);
         load += lib.cell(s.cell()).size(s.size()).input_cap_pf;
         load += lib.wire_cap_per_fanout_pf();
     }
-    let pos = po_counts[node.index()] as f64;
+    let pos = net.po_sink_count(node) as f64;
     load + pos * (lib.po_load_pf() + lib.wire_cap_per_fanout_pf())
 }
 
@@ -50,13 +37,12 @@ mod tests {
         net.add_output("o", g1);
         net.add_output("o2", s1);
         net.add_output("o3", s2);
-        let po = po_sink_counts(&net);
-        assert_eq!(po[g1.index()], 1);
+        assert_eq!(net.po_sink_count(g1), 1);
         let cap_inv = lib.cell(inv).size(SizeIx(0)).input_cap_pf;
         let want = 2.0 * (cap_inv + lib.wire_cap_per_fanout_pf())
             + lib.po_load_pf()
             + lib.wire_cap_per_fanout_pf();
-        let got = load_pf(&net, &lib, g1, &po);
+        let got = load_pf(&net, &lib, g1);
         assert!((got - want).abs() < 1e-12, "got {got}, want {want}");
     }
 
@@ -69,10 +55,9 @@ mod tests {
         let g1 = net.add_gate("g1", inv, &[a]);
         let s = net.add_gate("s", inv, &[g1]);
         net.add_output("o", s);
-        let po = po_sink_counts(&net);
-        let before = load_pf(&net, &lib, g1, &po);
+        let before = load_pf(&net, &lib, g1);
         net.set_size(s, SizeIx(2));
-        let after = load_pf(&net, &lib, g1, &po);
+        let after = load_pf(&net, &lib, g1);
         assert!(after > before);
     }
 

@@ -3,7 +3,7 @@ use std::collections::BinaryHeap;
 use dvs_celllib::Library;
 use dvs_netlist::{Network, NodeId};
 
-use crate::load::{load_pf, po_sink_counts};
+use crate::load::load_pf;
 
 /// Tolerance below which timing values are considered unchanged during
 /// incremental propagation.
@@ -27,6 +27,11 @@ const EPS: f64 = 1e-12;
 /// value it overwrites; [`Timing::keep_trial`] then runs the backward half,
 /// and [`Timing::undo_trial`] restores the logged values instead. Required
 /// times never move during a trial.
+///
+/// Primary-output pad loads and required-time anchors are read from the
+/// network's own sink counts ([`Network::po_sink_count`]); the one piece
+/// of output state kept here is the driver list that
+/// [`Timing::worst_po_slack`] folds.
 #[derive(Debug, Clone)]
 pub struct Timing {
     tspec_ns: f64,
@@ -34,8 +39,7 @@ pub struct Timing {
     required: Vec<f64>,
     delay: Vec<f64>,
     load: Vec<f64>,
-    po_sinks: Vec<u32>,
-    /// Nodes with `po_sinks > 0`, in ascending index order.
+    /// The nodes that drive a primary output, in ascending index order.
     po_drivers: Vec<NodeId>,
     /// Topological position of every node; a converter inserted since the
     /// last rebuild shares its driver's.
@@ -84,7 +88,7 @@ struct TopoIndex {
 }
 
 impl TopoIndex {
-    fn new(net: &Network, po_sinks: &[u32]) -> Self {
+    fn new(net: &Network) -> Self {
         let order = net.topo_order();
         let edges = net.edge_count();
         let mut index = TopoIndex {
@@ -102,7 +106,7 @@ impl TopoIndex {
             index.fanouts.extend_from_slice(net.fanouts(id));
             index
                 .anchored
-                .push(po_sinks[id.index()] > 0 || net.fanouts(id).is_empty());
+                .push(net.drives_output(id) || net.fanouts(id).is_empty());
         }
         index.fanin_at.push(offset(index.fanins.len()));
         index.fanout_at.push(offset(index.fanouts.len()));
@@ -132,7 +136,6 @@ impl Timing {
             required: Vec::new(),
             delay: Vec::new(),
             load: Vec::new(),
-            po_sinks: Vec::new(),
             po_drivers: Vec::new(),
             topo_pos: Vec::new(),
             index: None,
@@ -152,12 +155,11 @@ impl Timing {
     pub fn rebuild(&mut self, net: &Network, lib: &Library) {
         debug_assert!(self.trial.is_none(), "rebuild with a trial open");
         let n = net.node_count();
-        self.po_sinks = po_sink_counts(net);
         self.po_drivers = (0..n)
-            .filter(|&ix| self.po_sinks[ix] > 0)
             .map(NodeId::from_index)
+            .filter(|&id| net.drives_output(id))
             .collect();
-        let index = TopoIndex::new(net, &self.po_sinks);
+        let index = TopoIndex::new(net);
         let live = index.order.len();
         self.topo_pos = vec![0; n];
         for (pos, &id) in index.order.iter().enumerate() {
@@ -168,7 +170,7 @@ impl Timing {
         self.delay = vec![0.0; n];
         self.load = vec![0.0; n];
         for &id in &index.order {
-            self.load[id.index()] = load_pf(net, lib, id, &self.po_sinks);
+            self.load[id.index()] = load_pf(net, lib, id);
             self.delay[id.index()] = gate_delay(net, lib, id, self.load[id.index()]);
         }
         // every position is a seed, so the cone walk times every node
@@ -236,7 +238,7 @@ impl Timing {
 
     /// Recomputes load and delay of `id` from the network.
     fn rederive(&mut self, net: &Network, lib: &Library, id: NodeId) {
-        self.load[id.index()] = load_pf(net, lib, id, &self.po_sinks);
+        self.load[id.index()] = load_pf(net, lib, id);
         self.delay[id.index()] = gate_delay(net, lib, id, self.load[id.index()]);
     }
 
@@ -276,7 +278,7 @@ impl Timing {
 
     fn compute_required(&self, net: &Network, id: NodeId) -> f64 {
         let fanouts = net.fanouts(id);
-        self.required_via_fanouts(self.po_sinks[id.index()] > 0 || fanouts.is_empty(), fanouts)
+        self.required_via_fanouts(net.drives_output(id) || fanouts.is_empty(), fanouts)
     }
 
     /// Required time at a node given its fanouts, starting from the
@@ -365,7 +367,7 @@ impl Timing {
     where
         F: Fn(NodeId) -> bool,
     {
-        let mut req = if include_po && self.po_sinks[node.index()] > 0 {
+        let mut req = if include_po && net.drives_output(node) {
             self.tspec_ns
         } else {
             f64::INFINITY
@@ -465,7 +467,7 @@ impl Timing {
         let mut moved = Vec::new();
         let touched = std::iter::once(changed).chain(net.fanins(changed).iter().copied());
         for id in touched {
-            let new_load = load_pf(net, lib, id, &self.po_sinks);
+            let new_load = load_pf(net, lib, id);
             let new_delay = gate_delay(net, lib, id, new_load);
             let (load, delay) = (self.load[id.index()], self.delay[id.index()]);
             if (new_delay - delay).abs() > EPS || (new_load - load).abs() > EPS {
@@ -522,12 +524,11 @@ impl Timing {
         self.required.resize(n, f64::INFINITY);
         self.delay.resize(n, 0.0);
         self.load.resize(n, 0.0);
-        self.po_sinks.resize(n, 0);
         self.topo_pos.resize(n, 0);
         self.topo_pos[conv.index()] = self.topo_pos[driver.index()];
         self.queued.resize(n, false);
         self.index = None;
-        self.recount_po_sinks(net, &[driver, conv]);
+        self.sync_po_drivers(net, &[driver, conv]);
         for id in [driver, conv] {
             self.rederive(net, lib, id);
         }
@@ -572,7 +573,7 @@ impl Timing {
         self.delay[cix] = 0.0;
         self.load[cix] = 0.0;
         self.index = None;
-        self.recount_po_sinks(net, &[driver, conv]);
+        self.sync_po_drivers(net, &[driver, conv]);
         self.rederive(net, lib, driver);
         let mut events = 1;
         let fwd = std::iter::once(driver).chain(net.fanouts(driver).iter().copied());
@@ -584,23 +585,12 @@ impl Timing {
         events
     }
 
-    /// Recounts `po_sinks` for just the given nodes by scanning the
-    /// primary-output list (structural edits only ever move outputs between
-    /// a converter and its driver), and keeps `po_drivers` in step.
-    fn recount_po_sinks(&mut self, net: &Network, nodes: &[NodeId]) {
+    /// Brings `po_drivers` in step with the network for just the given
+    /// nodes (structural edits only ever move outputs between a converter
+    /// and its driver).
+    fn sync_po_drivers(&mut self, net: &Network, nodes: &[NodeId]) {
         for &id in nodes {
-            self.po_sinks[id.index()] = 0;
-        }
-        for (_, d) in net.primary_outputs() {
-            if nodes.contains(d) {
-                self.po_sinks[d.index()] += 1;
-            }
-        }
-        for &id in nodes {
-            match (
-                self.po_drivers.binary_search(&id),
-                self.po_sinks[id.index()] > 0,
-            ) {
+            match (self.po_drivers.binary_search(&id), net.drives_output(id)) {
                 (Err(at), true) => self.po_drivers.insert(at, id),
                 (Ok(at), false) => {
                     self.po_drivers.remove(at);
@@ -879,12 +869,11 @@ mod tests {
             fresh.worst_po_slack().to_bits()
         );
         // the PO-driver list folds the same values in the same order as a
-        // scan of the per-node output counts
-        let scan = po_sink_counts(net)
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(ix, _)| t.tspec_ns() - t.arrival_ns(NodeId::from_index(ix)))
+        // scan of the network's per-node output counts
+        let scan = (0..net.node_count())
+            .map(NodeId::from_index)
+            .filter(|&id| net.po_sink_count(id) > 0)
+            .map(|id| t.tspec_ns() - t.arrival_ns(id))
             .fold(f64::INFINITY, f64::min);
         assert_eq!(t.worst_po_slack().to_bits(), scan.to_bits());
         assert!((t.critical_delay_ns(net) - fresh.critical_delay_ns(net)).abs() < 1e-9);

@@ -2,7 +2,7 @@
 
 use dvs_celllib::Library;
 use dvs_netlist::{Network, NodeId, SizeIx};
-use dvs_sta::{load_pf, po_sink_counts, Timing};
+use dvs_sta::{load_pf, Timing};
 
 /// Outcome of [`prepare`]: the network the voltage-scaling algorithms
 /// receive, together with its timing constraint.
@@ -171,13 +171,11 @@ fn try_upsize(
 /// Each step is a [`Timing::trial_gate_change`], since the decision
 /// ([`Timing::meets_constraint`]) reads only arrivals: a kept step runs the
 /// backward pass with [`Timing::keep_trial`], a rejected one is restored
-/// bit for bit with [`Timing::undo_trial`]. Primary-output drivers are
-/// found from one count of the outputs per node, taken up front.
+/// bit for bit with [`Timing::undo_trial`].
 ///
 /// Returns the number of down-sizing steps applied.
 pub fn recover_area(net: &mut Network, lib: &Library, tspec_ns: f64) -> usize {
     let mut timing = Timing::analyze(net, lib, tspec_ns);
-    let po_counts = po_sink_counts(net);
     let mut steps = 0;
     loop {
         let mut changed = false;
@@ -185,7 +183,7 @@ pub fn recover_area(net: &mut Network, lib: &Library, tspec_ns: f64) -> usize {
             .gate_ids()
             // primary-output drivers keep their mapped drive: pad loads are
             // pinned by output slew rules, not by timing slack
-            .filter(|&g| net.node(g).size().index() > 0 && po_counts[g.index()] == 0)
+            .filter(|&g| net.node(g).size().index() > 0 && !net.drives_output(g))
             .map(|g| {
                 // area recovered per ns of delay given back: a real mapper
                 // spends the slack where it buys the most area, which keeps
@@ -260,19 +258,14 @@ pub fn prepare(mut network: Network, lib: &Library, slack_factor: f64) -> Prepar
 ///
 /// Only the drivers' loads are read, so each iteration takes a snapshot of
 /// them with [`load_pf`] (the function and inputs a [`Timing::analyze`]
-/// would use, so the same bits) before it bumps anything; the drivers
-/// themselves come from one count of the outputs per node.
+/// would use, so the same bits) before it bumps anything.
 pub fn electrical_correction(net: &mut Network, lib: &Library) -> usize {
-    let po_counts = po_sink_counts(net);
-    let drivers: Vec<NodeId> = net
-        .gate_ids()
-        .filter(|&g| po_counts[g.index()] > 0)
-        .collect();
+    let drivers: Vec<NodeId> = net.gate_ids().filter(|&g| net.drives_output(g)).collect();
     let mut loads = Vec::with_capacity(drivers.len());
     let mut bumped = 0;
     loop {
         loads.clear();
-        loads.extend(drivers.iter().map(|&g| load_pf(net, lib, g, &po_counts)));
+        loads.extend(drivers.iter().map(|&g| load_pf(net, lib, g)));
         let mut changed = false;
         for (&g, &load) in drivers.iter().zip(&loads) {
             let node = net.node(g);
