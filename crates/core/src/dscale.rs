@@ -85,13 +85,14 @@ pub fn dscale(net: &mut Network, lib: &Library, tspec_ns: f64, cfg: &FlowConfig)
 
 /// Below this many gates a scoring round runs sequentially: each
 /// [`dvs_pool::run_indexed`] call spawns scoped threads, and on circuits
-/// this small the spawn cost exceeds the whole scan.
-const PAR_MIN_GATES: usize = 128;
+/// this small the spawn cost exceeds the whole scan. Public so that
+/// thread-count tests can check their networks clear it.
+pub const PAR_MIN_GATES: usize = 128;
 
 /// One round of `Dscale` candidate scoring: the paper's `get_SlkSet` ∩
 /// `check_timing` filter plus the Eq. (1) power weighting, fanned out
 /// over `jobs` intra-circuit worker threads (sequential below
-/// `PAR_MIN_GATES` = 128 gates — the pool call and its deterministic
+/// [`PAR_MIN_GATES`] = 128 gates — the pool call and its deterministic
 /// metrics still happen, only the width drops).
 ///
 /// Per-gate evaluation ([`FlowSession::plan_demotion`] +

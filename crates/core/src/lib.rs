@@ -68,7 +68,7 @@ pub use audit::{audit, AuditError};
 pub use config::FlowConfig;
 pub use cvs::{cvs, time_critical_boundary, CvsOutcome};
 pub use demote::{demotion_fits, DemotionPlan};
-pub use dscale::{dscale, score_candidates, DscaleOutcome};
+pub use dscale::{dscale, score_candidates, DscaleOutcome, PAR_MIN_GATES};
 pub use dvs_obs::CpuTimer;
 pub use gscale::{gscale, GscaleOutcome};
 pub use report::{measure_power, run_circuit, AlgoReport, CircuitRun};

@@ -3,11 +3,18 @@
 //! (across scenarios) and the intra-circuit parallel paths (Dscale
 //! candidate scoring, wavefront power simulation).
 //!
-//! Workers claim item indices from a shared atomic counter (dynamic
-//! load-balancing — a worker stuck on `des` does not hold up 38 small
-//! circuits) and stash `(index, result)` pairs; the results are re-merged
-//! in item order, so the output is byte-for-byte independent of how the
-//! scheduler interleaved the workers or how many there were.
+//! Workers claim contiguous chunks of item indices from a shared atomic
+//! counter (dynamic load-balancing — a worker stuck on `des` does not hold
+//! up 38 small circuits). The chunk size is a pure function of the batch,
+//! `max(1, len / (jobs × 64))`: batches shorter than `jobs × 128` items
+//! (sweep grids of heavy scenarios) are claimed one item at a time, while
+//! long batches of nanosecond-cheap items (Dscale's per-gate slack scan)
+//! pay one counter round-trip per few hundred items instead of one per
+//! item. Each worker appends its results to one buffer of its own and
+//! notes where each claimed chunk starts; the caller merges the chunks in
+//! start order, so the output is in item order and byte-for-byte
+//! independent of how the scheduler interleaved the workers or how many
+//! there were. Nothing is shared between workers but the counter.
 //!
 //! # Thread-budget policy (oversubscription guard)
 //!
@@ -40,7 +47,6 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Worker count: `DVS_JOBS` when set to a positive integer, otherwise
 /// [`std::thread::available_parallelism`], otherwise 1.
@@ -127,6 +133,12 @@ pub fn effective_jobs(jobs: usize, len: usize, min_items: usize) -> usize {
 /// `CpuTimer` readings honest: each item starts and stops its clocks on
 /// the one thread that runs it).
 ///
+/// Workers claim chunks of `max(1, len / (jobs × 64))` consecutive items
+/// (see the module docs), run them into one per-worker result buffer and
+/// hand buffer and chunk starts back through their join handles; the
+/// chunks are then stitched together in start order. No lock is taken and
+/// no per-item index is stored.
+///
 /// The deterministic batch-shape sample (`pool.batch_items`) is recorded
 /// from the calling thread on every call,
 /// including the `jobs == 1` sequential short-circuit, so callers that
@@ -135,47 +147,73 @@ pub fn effective_jobs(jobs: usize, len: usize, min_items: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Propagates the first worker panic after the pool drains.
+/// Re-raises an item's panic with its own payload at every width: the
+/// sequential path unwinds straight through, and the parallel path lets
+/// the other workers drain the batch, then resumes the first panicking
+/// worker's payload (in worker order).
 pub fn run_indexed<I, T, F>(items: &[I], jobs: usize, f: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
     F: Fn(usize, &I) -> T + Sync,
 {
-    dvs_obs::hist_record("pool.batch_items", items.len() as u64);
-    let jobs = jobs.max(1).min(items.len().max(1));
+    let len = items.len();
+    dvs_obs::hist_record("pool.batch_items", len as u64);
+    let jobs = jobs.max(1).min(len.max(1));
     if jobs == 1 {
         return items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
     }
+    let chunk = (len / (jobs * 64)).max(1);
     let next = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(items.len()));
-    std::thread::scope(|scope| {
-        for w in 0..jobs {
-            let (next, done, f) = (&next, &done, &f);
-            scope.spawn(move || {
-                // name the worker's track in any installed trace subscriber
-                dvs_obs::set_thread_label(|| format!("worker-{w}"));
-                let mut claimed = 0u64;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..jobs)
+            .map(|w| {
+                let (next, f) = (&next, &f);
+                scope.spawn(move || {
+                    // name the worker's track in any installed trace subscriber
+                    dvs_obs::set_thread_label(|| format!("worker-{w}"));
+                    let mut out = Vec::with_capacity(len / jobs + chunk);
+                    let mut starts = Vec::new();
+                    loop {
+                        let start = next.fetch_add(chunk, Ordering::Relaxed);
+                        if start >= len {
+                            break;
+                        }
+                        starts.push(start);
+                        let end = (start + chunk).min(len);
+                        out.extend((start..end).map(|i| f(i, &items[i])));
                     }
-                    let out = f(i, &items[i]);
-                    done.lock().unwrap().push((i, out));
-                    claimed += 1;
-                }
-                // steal/idle balance: worker-thread-scoped on purpose so
-                // the nondeterministic split stays out of per-scenario
-                // rollups (they window on the calling thread's stream)
-                dvs_obs::hist_record("pool.tasks_per_worker", claimed);
-            });
-        }
+                    // steal/idle balance: worker-thread-scoped on purpose so
+                    // the nondeterministic split stays out of per-scenario
+                    // rollups (they window on the calling thread's stream)
+                    dvs_obs::hist_record("pool.tasks_per_worker", out.len() as u64);
+                    (out, starts)
+                })
+            })
+            .collect();
+        // joining every handle by hand keeps `scope` from replacing a
+        // worker's panic payload with its own generic message
+        handles.into_iter().map(|h| h.join()).collect()
     });
-    let mut pairs = done.into_inner().unwrap();
-    pairs.sort_by_key(|&(i, _)| i);
-    debug_assert!(pairs.iter().enumerate().all(|(k, &(i, _))| k == i));
-    pairs.into_iter().map(|(_, t)| t).collect()
+    let mut parts = Vec::with_capacity(jobs);
+    for part in joined {
+        match part {
+            Ok((out, starts)) => parts.push((out.into_iter(), starts.into_iter().peekable())),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    }
+    // Every chunk starts at a multiple of `chunk`, and each worker's
+    // starts ascend, so the chunk at each multiple is the next unmerged
+    // chunk of exactly one worker.
+    let mut merged = Vec::with_capacity(len);
+    for start in (0..len).step_by(chunk) {
+        let out = parts
+            .iter_mut()
+            .find_map(|(out, starts)| starts.next_if_eq(&start).map(|_| out))
+            .expect("every chunk was claimed by exactly one worker");
+        merged.extend(out.by_ref().take(chunk.min(len - start)));
+    }
+    merged
 }
 
 #[cfg(test)]
@@ -201,14 +239,45 @@ mod tests {
 
     #[test]
     fn every_item_runs_exactly_once() {
-        let hits = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..57).collect();
-        let out = run_indexed(&items, 4, |_, &x| {
-            hits.fetch_add(1, Ordering::Relaxed);
-            x
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 57);
-        assert_eq!(out, items);
+        // lengths straddle the one-at-a-time limit (`jobs × 128`) and the
+        // ragged last chunk
+        for len in [1, 57, 127, 128, 129, 255, 256, 257, 10_007] {
+            let items: Vec<u64> = (0..len as u64).collect();
+            let seq: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
+            for jobs in [2, 3, 4, 8] {
+                let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+                let par = run_indexed(&items, jobs, |i, &x| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                    x * 3 + 1
+                });
+                assert_eq!(par, seq, "len {len}, jobs {jobs}");
+                assert!(
+                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                    "len {len}, jobs {jobs}: an item ran other than once"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn item_panic_keeps_its_payload_at_every_width() {
+        let items: Vec<usize> = (0..1_000).collect();
+        for jobs in [1, 2, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                run_indexed(&items, jobs, |_, &x| {
+                    if x == 777 {
+                        panic!("item 777");
+                    }
+                    x
+                })
+            });
+            let payload = caught.expect_err("item 777 panics");
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            assert_eq!(msg, Some("item 777"), "jobs = {jobs}");
+        }
     }
 
     #[test]

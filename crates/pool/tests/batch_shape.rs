@@ -1,13 +1,17 @@
 //! The batch shape `run_indexed` records is a pure function of the
 //! batches: one `pool.batch_items` sample per call, so the histogram's
 //! `count` is the number of batches and its `sum` the number of tasks,
-//! and the calling thread's rollup is the same at every pool width.
+//! and the calling thread's rollup is the same at every pool width. The
+//! workers' own `pool.tasks_per_worker` samples add up to the items the
+//! parallel calls ran, whatever the chunking.
 
 use std::sync::Arc;
 
 use dvs_obs::{Recorder, Rollup};
 
-const LENGTHS: [usize; 6] = [0, 1, 5, 64, 3, 200];
+/// Empty and single-item batches take the sequential path at any width;
+/// 1 000 items at 4 workers are claimed 3 at a time.
+const LENGTHS: [usize; 7] = [0, 1, 5, 64, 3, 200, 1_000];
 
 /// Runs one `run_indexed` call per entry of [`LENGTHS`] at `jobs` workers
 /// and returns the calling thread's rollup over exactly those calls.
@@ -40,7 +44,10 @@ fn batch_items_histogram_counts_batches_and_tasks_at_every_width() {
     assert_eq!(hist.count, LENGTHS.len() as u64);
     assert_eq!(hist.sum, LENGTHS.iter().sum::<usize>() as u64);
 
-    // the workers' claim split stays on their own threads
+    // the workers' claim split stays on their own threads, and every item
+    // of every parallel call was claimed by exactly one of them
     let trace = rec.drain();
-    assert!(trace.hists.contains_key("pool.tasks_per_worker"));
+    let claims = &trace.hists["pool.tasks_per_worker"];
+    let parallel_items: usize = LENGTHS.iter().filter(|&&len| len > 1).sum();
+    assert_eq!(claims.sum, parallel_items as u64);
 }

@@ -71,4 +71,4 @@ mod sim;
 
 pub use estimate::{estimate, PowerBreakdown};
 pub use incremental::{PowerDelta, PowerState, RefreshStats};
-pub use sim::{simulate, simulate_jobs, simulate_with_probs, Activities};
+pub use sim::{simulate, simulate_jobs, simulate_with_probs, Activities, PAR_MIN_ROWS};

@@ -110,8 +110,9 @@ pub fn simulate_with_probs(
 /// thread spawn of one [`dvs_pool::run_indexed`] call costs more than
 /// evaluating a narrow level outright. Shared with the incremental
 /// engine's per-level refresh batches so both paths flip at the same
-/// width.
-pub(crate) const PAR_MIN_ROWS: usize = 256;
+/// width. Public so that thread-count tests can check their levels clear
+/// it.
+pub const PAR_MIN_ROWS: usize = 256;
 
 /// Logic level of `id` from its fanins' entries in `level`: one more than
 /// the deepest fanin, 0 for primary inputs — [`dvs_netlist::Levels`]'

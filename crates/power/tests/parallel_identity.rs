@@ -7,10 +7,14 @@
 //!
 //! This is the determinism contract the `--circuit-jobs` flag rides on:
 //! parallelism moves wall-clock only, never a bit of the results.
+//!
+//! The random networks stay below [`PAR_MIN_ROWS`], so their wide lanes
+//! run sequentially; one fixed layered network with a 640-row level takes
+//! both the simulation gather and the refresh onto the pool.
 
 use dvs_celllib::{compass, Library, VoltagePair};
-use dvs_netlist::{Network, NodeId, Rail};
-use dvs_power::{simulate_jobs, PowerDelta, PowerState};
+use dvs_netlist::{Levels, Network, NodeId, Rail};
+use dvs_power::{simulate_jobs, PowerDelta, PowerState, PAR_MIN_ROWS};
 use proptest::prelude::*;
 
 const FCLK_MHZ: f64 = 20.0;
@@ -54,6 +58,118 @@ fn network_strategy() -> impl Strategy<Value = Network> {
             }
             net
         })
+}
+
+/// A layered NAND2 network: 640 gates over 16 primary inputs, then
+/// layers of 320, 160 and 80 gates, each pairing up the layer below
+/// (1 200 gates, widest level 640 rows).
+fn layered_network() -> Network {
+    let lib = lib();
+    let nand2 = lib.find("NAND2").unwrap();
+    let mut net = Network::new("layered");
+    let pis: Vec<NodeId> = (0..16).map(|i| net.add_input(format!("pi{i}"))).collect();
+    let mut layer: Vec<NodeId> = (0..640)
+        .map(|k| {
+            let a = pis[k % 16];
+            let b = pis[(k * 7 / 16 + 1 + k % 16) % 16];
+            net.add_gate(format!("l1_{k}"), nand2, &[a, b])
+        })
+        .collect();
+    for depth in 2..=4 {
+        let half = layer.len() / 2;
+        // pair gate k with gate k + half so neighbours mix across the layer
+        layer = (0..half)
+            .map(|k| net.add_gate(format!("l{depth}_{k}"), nand2, &[layer[k], layer[k + half]]))
+            .collect();
+    }
+    for (o, &d) in layer.iter().enumerate() {
+        net.add_output(format!("po{o}"), d);
+    }
+    net
+}
+
+/// Width of the widest logic level of `net`.
+fn widest_level(net: &Network) -> usize {
+    let levels = Levels::of(net);
+    let mut width = vec![0usize; levels.depth() as usize + 1];
+    for g in net.gate_ids() {
+        width[levels.level(g) as usize] += 1;
+    }
+    width.into_iter().max().unwrap_or(0)
+}
+
+/// The pooled paths: a wide level is gathered on 2 and 4 threads by both
+/// the from-scratch simulation and a refresh that re-simulates the level a
+/// rolled-back batch of rail edits touched, and every value agrees with
+/// the sequential run bit for bit.
+#[test]
+fn wide_level_is_thread_count_invariant_on_the_pool() {
+    let lib = lib();
+    let net = layered_network();
+    assert!(net.gate_count() >= 1_000);
+    assert!(widest_level(&net) >= PAR_MIN_ROWS.max(600));
+    let (vectors, seed) = (160, 11);
+
+    let base = simulate_jobs(&net, &lib, vectors, seed, 1);
+    for jobs in [2usize, 4] {
+        let wide = simulate_jobs(&net, &lib, vectors, seed, jobs);
+        for id in net.node_ids() {
+            assert_eq!(
+                base.switching(id),
+                wide.switching(id),
+                "sw01({id}) at jobs={jobs}"
+            );
+            assert_eq!(
+                base.one_prob(id),
+                wide.one_prob(id),
+                "p_one({id}) at jobs={jobs}"
+            );
+        }
+    }
+
+    let level_one: Vec<NodeId> = net.gate_ids().take(640).collect();
+    let mut lanes = Vec::new();
+    for jobs in [1usize, 2, 4] {
+        let mut n = net.clone();
+        n.enable_journal();
+        let mut ps = PowerState::with_jobs(&n, &lib, vectors, seed, FCLK_MHZ, jobs);
+        let cp = n.checkpoint();
+        for &g in &level_one {
+            n.set_rail(g, Rail::Low);
+            ps.note(PowerDelta::Rail(g));
+        }
+        ps.refresh(&n, &lib);
+        let touched = n.rollback_to(cp);
+        assert!(
+            touched.len() >= PAR_MIN_ROWS,
+            "the rollback reseeds the whole level"
+        );
+        ps.note(PowerDelta::Rollback { touched });
+        let stats = ps.refresh(&n, &lib);
+        lanes.push((stats, ps.breakdown(&n, &lib), ps));
+    }
+    let (want_stats, want, want_ps) = &lanes[0];
+    // one level, re-evaluated as one pooled batch
+    assert_eq!(want_stats.levels, 1);
+    assert!(want_stats.cone_nodes >= PAR_MIN_ROWS);
+    for (jobs, (stats, got, ps)) in [2, 4].into_iter().zip(&lanes[1..]) {
+        assert_eq!(stats, want_stats, "refresh stats at jobs={jobs}");
+        assert_eq!(got.total_uw, want.total_uw, "total_uw at jobs={jobs}");
+        assert_eq!(got.switching_uw, want.switching_uw);
+        assert_eq!(got.converter_uw, want.converter_uw);
+        for id in net.node_ids() {
+            assert_eq!(
+                got.node_uw(id),
+                want.node_uw(id),
+                "node_uw({id}) at jobs={jobs}"
+            );
+            assert_eq!(
+                ps.activities().switching(id),
+                want_ps.activities().switching(id),
+                "sw01({id}) at jobs={jobs}"
+            );
+        }
+    }
 }
 
 proptest! {
