@@ -19,6 +19,12 @@ pub enum LibraryError {
         /// Description of the violation.
         message: String,
     },
+    /// The low rail does not exceed the alpha-power threshold voltage, so a
+    /// low-Vdd gate would never switch.
+    RailBelowThreshold {
+        /// Description of the violation.
+        message: String,
+    },
 }
 
 impl fmt::Display for LibraryError {
@@ -33,6 +39,7 @@ impl fmt::Display for LibraryError {
             LibraryError::BadAttribute { cell, message } => {
                 write!(f, "bad attribute on `{cell}`: {message}")
             }
+            LibraryError::RailBelowThreshold { message } => write!(f, "{message}"),
         }
     }
 }

@@ -239,8 +239,10 @@ impl LibraryBuilder {
     /// # Errors
     ///
     /// Returns [`LibraryError::DuplicateCell`] on name clashes,
-    /// [`LibraryError::MissingConverter`] if no converter was declared and
-    /// [`LibraryError::BadAttribute`] on non-positive physical attributes.
+    /// [`LibraryError::MissingConverter`] if no converter was declared,
+    /// [`LibraryError::BadAttribute`] on non-positive physical attributes
+    /// and [`LibraryError::RailBelowThreshold`] unless the low rail is
+    /// above the alpha-power model's threshold.
     pub fn build(self) -> Result<Library, LibraryError> {
         let mut cells = self.cells;
         let converter_sizes = self.converter_sizes.ok_or(LibraryError::MissingConverter)?;
@@ -280,6 +282,12 @@ impl LibraryBuilder {
             }
         }
 
+        let (vt, low) = (self.alpha.vt, self.voltages.low());
+        if vt.is_nan() || vt >= low {
+            return Err(LibraryError::RailBelowThreshold {
+                message: format!("low rail {low} V is not above the threshold {vt} V"),
+            });
+        }
         let derate_low = self.alpha.derate(self.voltages);
         Ok(Library {
             name: self.name,
@@ -384,6 +392,22 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, LibraryError::BadAttribute { .. }));
+    }
+
+    #[test]
+    fn threshold_not_below_the_low_rail_rejected() {
+        for vt in [4.3, 6.0, f64::NAN] {
+            let err = LibraryBuilder::new("x")
+                .alpha_model(AlphaPowerModel { vt, alpha: 1.3 })
+                .cell(Cell::new("INV", GateFn::Inv, vec![size(1.0)]))
+                .converter_cell(vec![size(1.0)])
+                .build()
+                .unwrap_err();
+            assert!(
+                matches!(err, LibraryError::RailBelowThreshold { .. }),
+                "{vt}"
+            );
+        }
     }
 
     #[test]

@@ -98,6 +98,12 @@ pub fn parse_function(name: &str) -> Option<GateFn> {
     }
 }
 
+/// `token` as a finite number; `None` for anything else, `inf` and `NaN`
+/// included.
+fn finite(token: &str) -> Option<f64> {
+    token.parse().ok().filter(|v: &f64| v.is_finite())
+}
+
 /// Serialises a library to the text format. Lossless for everything the
 /// format covers: `parse(write(lib))` behaves identically in the flow.
 pub fn write(lib: &Library) -> String {
@@ -174,10 +180,11 @@ pub fn parse(text: &str) -> Result<Library, ParseLibraryError> {
         let mut tok = line.split_whitespace();
         let Some(head) = tok.next() else { continue };
         let mut num = |what: &str| -> Result<f64, ParseLibraryError> {
-            tok.next()
-                .ok_or_else(|| err(line_no, format!("missing {what}")))?
-                .parse()
-                .map_err(|_| err(line_no, format!("bad number for {what}")))
+            finite(
+                tok.next()
+                    .ok_or_else(|| err(line_no, format!("missing {what}")))?,
+            )
+            .ok_or_else(|| err(line_no, format!("bad number for {what}")))
         };
         match head {
             "library" => {
@@ -241,9 +248,8 @@ pub fn parse(text: &str) -> Result<Library, ParseLibraryError> {
                     let (k, v) = spec
                         .split_once('=')
                         .ok_or_else(|| err(line_no, format!("expected key=value, got `{spec}`")))?;
-                    let v: f64 = v
-                        .parse()
-                        .map_err(|_| err(line_no, format!("bad number in `{spec}`")))?;
+                    let v =
+                        finite(v).ok_or_else(|| err(line_no, format!("bad number in `{spec}`")))?;
                     attrs.insert(
                         match k {
                             "area" | "cap" | "intrinsic" | "res" | "internal" | "leak" => k,
@@ -383,6 +389,29 @@ converter LC
                 e.to_string().contains(want),
                 "`{text}` gave `{e}`, wanted `{want}`"
             );
+        }
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_errors() {
+        // one line of the compass library's own text edited at a time;
+        // each used to panic or to be accepted
+        let text = write(&compass::compass_library(VoltagePair::default()));
+        // the threshold is checked once the whole library is read, so its
+        // errors name the last line
+        let last = text.lines().count();
+        let cases = [
+            ("alpha_model 0.8 1.3", "alpha_model nan 1.3", 3),
+            ("alpha_model 0.8 1.3", "alpha_model 6 1.3", last),
+            ("voltages 5 4.3", "voltages 5 0.5", last),
+            ("voltages 5 4.3", "voltages inf 4.3", 2),
+            ("alpha_model 0.8 1.3", "alpha_model 0.8 inf", 3),
+            ("wire_cap_per_fanout 0.004", "wire_cap_per_fanout nan", 4),
+        ];
+        for (from, to, line) in cases {
+            assert!(text.contains(from), "`{from}` not in the written text");
+            let e = parse(&text.replacen(from, to, 1)).unwrap_err();
+            assert_eq!(e.line, line, "`{to}` gave `{e}`");
         }
     }
 

@@ -73,7 +73,7 @@ pub fn audit(
     net.validate(Some(lib))
         .map_err(|e| AuditError::Structure(e.to_string()))?;
     let timing = Timing::analyze(net, lib, tspec_ns);
-    let worst = timing.worst_po_slack();
+    let worst = timing.worst_po_slack(net);
     if worst < -1e-6 {
         return Err(AuditError::Timing {
             worst_slack_ps: (worst * 1000.0).round() as i64,

@@ -196,7 +196,7 @@ mod tests {
         let out = cvs(&mut net, &lib, &mut timing, 1e-9);
         assert_eq!(out.lowered.len(), 6);
         assert!(out.tcb.is_empty());
-        assert!(timing.meets_constraint(1e-9));
+        assert!(timing.meets_constraint(&net, 1e-9));
         for &g in &gates {
             assert_eq!(net.node(g).rail(), Rail::Low);
         }
@@ -250,7 +250,7 @@ mod tests {
             assert_eq!(net.node(g).rail(), Rail::Low);
         }
         assert_eq!(out.tcb, vec![gates[6]]);
-        assert!(timing.meets_constraint(1e-9));
+        assert!(timing.meets_constraint(&net, 1e-9));
     }
 
     /// a gate with a high-V fanout can never join the cluster

@@ -251,7 +251,8 @@ pub(crate) fn dscale_session(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> Ds
         }
 
         debug_assert!(
-            sess.timing().meets_constraint(cfg.guard_ns * 4.0),
+            sess.timing()
+                .meets_constraint(sess.network(), cfg.guard_ns * 4.0),
             "Dscale iteration violated the constraint"
         );
     }
@@ -334,7 +335,7 @@ mod tests {
         // no unrestored crossings, timing met
         assert!(dc_leakage::crossings(&net).is_empty());
         let t = Timing::analyze(&net, &lib, tspec);
-        assert!(t.meets_constraint(1e-6));
+        assert!(t.meets_constraint(&net, 1e-6));
     }
 
     #[test]
@@ -376,7 +377,7 @@ mod tests {
         // few demotions may happen; but nothing on the spine may move and
         // timing must hold exactly
         let t = Timing::analyze(&net, &lib, nominal);
-        assert!(t.meets_constraint(1e-6));
+        assert!(t.meets_constraint(&net, 1e-6));
         let _ = d;
     }
 

@@ -134,7 +134,7 @@ pub(crate) fn gscale_session(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> Gs
                 tcb.len(),
                 cpn.len(),
                 cut.len(),
-                sess.timing().worst_po_slack(),
+                sess.timing().worst_po_slack(sess.network()),
             )
         });
 
@@ -163,7 +163,7 @@ pub(crate) fn gscale_session(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> Gs
             format!(
                 "[gscale] iter {iterations}: applied={} slack_after_batch={:.4}",
                 applied.len(),
-                sess.timing().worst_po_slack(),
+                sess.timing().worst_po_slack(sess.network()),
             )
         });
         // Repair. The weight model is local, so batch members can injure
@@ -179,7 +179,7 @@ pub(crate) fn gscale_session(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> Gs
             applied_mask[g.index()] = true;
         }
         let mut repair_rounds = 4 * applied.len() + 8;
-        while !sess.timing().meets_constraint(cfg.guard_ns) && !applied.is_empty() {
+        while !sess.timing().meets_constraint(sess.network(), cfg.guard_ns) && !applied.is_empty() {
             repair_rounds = repair_rounds.saturating_sub(1);
             // trace the worst violating path
             let net = sess.network();
@@ -323,7 +323,7 @@ pub(crate) fn gscale_session(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> Gs
             let cell = lib.cell(cell_ref);
             let delta_area = cell.size(cur).area - cell.sizes()[smaller.index()].area;
             sess.set_size(g, smaller);
-            if sess.timing().meets_constraint(cfg.guard_ns) {
+            if sess.timing().meets_constraint(sess.network(), cfg.guard_ns) {
                 area -= delta_area;
             } else {
                 sess.set_size(g, cur);
@@ -552,7 +552,7 @@ mod tests {
         );
         // constraints hold and the area budget is respected
         let t = Timing::analyze(&g_net, &lib, p.tspec_ns);
-        assert!(t.meets_constraint(1e-6));
+        assert!(t.meets_constraint(&g_net, 1e-6));
         assert!(out.area_after <= out.area_before * 1.10 + 1e-9);
         let fresh_area = total_area(&g_net, &lib);
         assert!((fresh_area - out.area_after).abs() < 1e-9);

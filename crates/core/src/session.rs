@@ -308,7 +308,7 @@ impl<'l> FlowSession<'l> {
             .net
             .insert_converter(driver, sinks, cover_outputs, self.lib.converter())?;
         if let Some(p) = self.power.as_mut() {
-            p.note(PowerDelta::ConverterInserted { conv, driver });
+            p.note(PowerDelta::ConverterInserted { conv });
         }
         self.counters.converters_inserted += 1;
         dvs_obs::attr_add("session.edits", || self.net.node(driver).name(), 1);
@@ -338,11 +338,7 @@ impl<'l> FlowSession<'l> {
         self.net.remove_converter(conv)?;
         let driver = driver.expect("remove_converter validated a single fanin");
         if let Some(p) = self.power.as_mut() {
-            p.note(PowerDelta::ConverterRemoved {
-                conv,
-                driver,
-                sinks,
-            });
+            p.note(PowerDelta::ConverterRemoved { sinks });
         }
         self.counters.converters_removed += 1;
         dvs_obs::attr_add("session.edits", || self.net.node(driver).name(), 1);
@@ -446,8 +442,8 @@ impl<'l> FlowSession<'l> {
     }
 
     /// The Eq. (1) power breakdown of the current network, served
-    /// incrementally: refreshes the cache and re-runs the estimator
-    /// summation over cached per-node state — bit-compatible with a
+    /// incrementally: refreshes the cache and runs the estimator over the
+    /// cached activities — bit-compatible with a
     /// from-scratch [`dvs_power::simulate`] + [`dvs_power::estimate`].
     pub fn power(&mut self, cfg: &FlowConfig) -> PowerBreakdown {
         self.serve_power_query(cfg);

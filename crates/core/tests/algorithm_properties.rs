@@ -95,7 +95,7 @@ fn dscale_gross_mode_buys_converters_and_keeps_timing() {
     };
     let out = dscale(&mut d_net, &lib, prepared.tspec_ns, &cfg);
     let t = Timing::analyze(&d_net, &lib, prepared.tspec_ns);
-    assert!(t.meets_constraint(1e-6));
+    assert!(t.meets_constraint(&d_net, 1e-6));
     assert!(dc_leakage::crossings(&d_net).is_empty());
     // every converter drives only high-rail sinks (stale ones are cleaned)
     for c in d_net.gate_ids().filter(|&c| d_net.node(c).is_converter()) {
@@ -169,7 +169,7 @@ fn maxiter_zero_still_terminates() {
     let mut g_net = prepared.network.clone();
     let out = gscale(&mut g_net, &lib, prepared.tspec_ns, &cfg);
     assert!(out.iterations < 5_000);
-    assert!(Timing::analyze(&g_net, &lib, prepared.tspec_ns).meets_constraint(1e-6));
+    assert!(Timing::analyze(&g_net, &lib, prepared.tspec_ns).meets_constraint(&g_net, 1e-6));
 }
 
 #[test]

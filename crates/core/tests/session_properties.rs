@@ -85,7 +85,8 @@ fn assert_timing_fresh(sess: &FlowSession<'_>) -> Result<(), TestCaseError> {
             id
         );
     }
-    prop_assert!((sess.timing().worst_po_slack() - fresh.worst_po_slack()).abs() < 1e-9);
+    let net = sess.network();
+    prop_assert!((sess.timing().worst_po_slack(net) - fresh.worst_po_slack(net)).abs() < 1e-9);
     Ok(())
 }
 

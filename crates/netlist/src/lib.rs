@@ -65,5 +65,5 @@ pub use network::{CellRef, Network, Node, NodeId, NodeKind, Rail, SizeIx};
 pub use reach::SubsetReach;
 pub use sop::{Cube, SopCover, SopNetwork, SopNode, SopNodeId};
 pub use stats::NetworkStats;
-pub use topo::{FanoutCone, Levels};
+pub use topo::{node_level, FanoutCone, Levels};
 pub use validate::ArityOracle;

@@ -19,12 +19,7 @@ impl Levels {
         let mut level = vec![0u32; net.node_count()];
         let mut depth = 0;
         for &id in &order {
-            let l = net
-                .fanins(id)
-                .iter()
-                .map(|f| level[f.index()] + 1)
-                .max()
-                .unwrap_or(0);
+            let l = node_level(net, &level, id);
             level[id.index()] = l;
             depth = depth.max(l);
         }
@@ -40,6 +35,19 @@ impl Levels {
     pub fn depth(&self) -> u32 {
         self.depth
     }
+}
+
+/// Logic level of `id` given its fanins' entries in `level` (indexed by
+/// [`NodeId::index`]): one more than the deepest fanin, 0 for primary
+/// inputs. [`Levels::of`] applies it in topological order; callers that
+/// keep their own level table apply it to re-derive a node whose fanins
+/// are already current.
+pub fn node_level(net: &Network, level: &[u32], id: NodeId) -> u32 {
+    net.fanins(id)
+        .iter()
+        .map(|f| level[f.index()] + 1)
+        .max()
+        .unwrap_or(0)
 }
 
 /// The descendant (fanout) cone of a seed set, in topological order.

@@ -133,22 +133,9 @@ impl Recorder {
             mark.window_id == data.window_id,
             "rollup_since on a superseded mark: one open window per thread"
         );
-        let window = &data.spans[mark.spans_len..];
-        let self_ns = self_durations(window);
-        let mut spans: BTreeMap<&'static str, SpanRollup> = BTreeMap::new();
-        for (span, self_ns) in window.iter().zip(self_ns) {
-            let agg = spans.entry(span.name).or_insert_with(|| SpanRollup {
-                name: span.name.to_string(),
-                ..SpanRollup::default()
-            });
-            agg.count += 1;
-            agg.wall_ns = agg.wall_ns.saturating_add(span.dur_ns);
-            agg.self_ns = agg.self_ns.saturating_add(self_ns);
-            agg.cpu_ns = agg.cpu_ns.saturating_add(span.cpu_ns);
-        }
         let aggs = &data.window;
         Rollup {
-            spans: spans.into_values().collect(),
+            spans: span_rollups(&data.spans[mark.spans_len..]),
             hists: aggs
                 .hists
                 .iter()
@@ -367,6 +354,24 @@ pub fn self_durations(spans: &[SpanRecord]) -> Vec<u64> {
         .zip(child_ns)
         .map(|(s, c)| s.dur_ns.saturating_sub(c))
         .collect()
+}
+
+/// Folds spans by name into one [`SpanRollup`] per name, sorted by name:
+/// call count plus saturating sums of wall, self and CPU time, with self
+/// time taken over `spans` alone (see [`self_durations`]).
+pub(crate) fn span_rollups(spans: &[SpanRecord]) -> Vec<SpanRollup> {
+    let mut by_name: BTreeMap<&'static str, SpanRollup> = BTreeMap::new();
+    for (span, self_ns) in spans.iter().zip(self_durations(spans)) {
+        let agg = by_name.entry(span.name).or_insert_with(|| SpanRollup {
+            name: span.name.to_string(),
+            ..SpanRollup::default()
+        });
+        agg.count += 1;
+        agg.wall_ns = agg.wall_ns.saturating_add(span.dur_ns);
+        agg.self_ns = agg.self_ns.saturating_add(self_ns);
+        agg.cpu_ns = agg.cpu_ns.saturating_add(span.cpu_ns);
+    }
+    by_name.into_values().collect()
 }
 
 #[cfg(test)]

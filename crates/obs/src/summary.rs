@@ -6,14 +6,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::recorder::{self_durations, Trace};
-
-struct NameAgg {
-    count: u64,
-    wall_ns: u64,
-    self_ns: u64,
-    cpu_ns: u64,
-}
+use crate::recorder::{self_durations, span_rollups, Trace};
 
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
@@ -24,22 +17,8 @@ fn ms(ns: u64) -> f64 {
 /// trace's histograms. Deterministic: ties break by span name.
 #[must_use]
 pub fn render(trace: &Trace, top: usize) -> String {
-    let self_ns = self_durations(&trace.spans);
-    let mut by_name: BTreeMap<&str, NameAgg> = BTreeMap::new();
-    for (span, self_ns) in trace.spans.iter().zip(self_ns) {
-        let agg = by_name.entry(span.name).or_insert(NameAgg {
-            count: 0,
-            wall_ns: 0,
-            self_ns: 0,
-            cpu_ns: 0,
-        });
-        agg.count += 1;
-        agg.wall_ns = agg.wall_ns.saturating_add(span.dur_ns);
-        agg.self_ns = agg.self_ns.saturating_add(self_ns);
-        agg.cpu_ns = agg.cpu_ns.saturating_add(span.cpu_ns);
-    }
-    let mut rows: Vec<(&str, NameAgg)> = by_name.into_iter().collect();
-    rows.sort_by(|a, b| b.1.self_ns.cmp(&a.1.self_ns).then(a.0.cmp(b.0)));
+    let mut rows = span_rollups(&trace.spans);
+    rows.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then(a.name.cmp(&b.name)));
 
     let mut out = String::new();
     let _ = writeln!(
@@ -53,11 +32,11 @@ pub fn render(trace: &Trace, top: usize) -> String {
         "  {:<18} {:>8} {:>12} {:>12} {:>12}",
         "span", "count", "self ms", "wall ms", "cpu ms"
     );
-    for (name, agg) in rows.iter().take(top) {
+    for agg in rows.iter().take(top) {
         let _ = writeln!(
             out,
             "  {:<18} {:>8} {:>12.3} {:>12.3} {:>12.3}",
-            name,
+            agg.name,
             agg.count,
             ms(agg.self_ns),
             ms(agg.wall_ns),

@@ -48,22 +48,6 @@ impl PowerBreakdown {
 /// Panics if `acts` was computed on a network with fewer node slots (stale
 /// after a structural edit — re-run [`crate::simulate`] first).
 pub fn estimate(net: &Network, lib: &Library, acts: &Activities, fclk_mhz: f64) -> PowerBreakdown {
-    estimate_with(net, lib, acts, fclk_mhz, |id| load_pf(net, lib, id))
-}
-
-/// The Eq. (1) summation loop with the load model injected: [`estimate`]
-/// computes loads from scratch, while the incremental engine
-/// ([`crate::PowerState`]) supplies its maintained per-node load cache.
-/// Everything else — iteration order, per-term arithmetic, accumulation
-/// order — is this one function, which is what makes the incremental
-/// breakdown bit-compatible with a from-scratch [`estimate`].
-pub(crate) fn estimate_with(
-    net: &Network,
-    lib: &Library,
-    acts: &Activities,
-    fclk_mhz: f64,
-    load_of: impl Fn(NodeId) -> f64,
-) -> PowerBreakdown {
     assert!(
         acts.len() >= net.node_count(),
         "activities are stale: {} slots for {} nodes — re-simulate",
@@ -78,7 +62,7 @@ pub(crate) fn estimate_with(
     let vh = lib.rail_voltage(Rail::High);
     for id in net.node_ids() {
         let node = net.node(id);
-        let load = load_of(id);
+        let load = load_pf(net, lib, id);
         if !node.is_gate() {
             // primary-input nets are charged externally (SIS convention)
             input_net_uw += acts.switching(id) * fclk_mhz * load * vh * vh;

@@ -1,7 +1,7 @@
 //! Journal-aware incremental power: re-simulate only the fanout cones an
-//! edit batch dirtied, and keep per-node loads cached, so that re-running
-//! the Eq. (1) estimator after every candidate edit costs O(cone), not
-//! O(network).
+//! edit batch dirtied, so that re-running the Eq. (1) estimator after every
+//! candidate edit costs one cone re-simulation plus one summation pass, not
+//! a full-network simulation.
 //!
 //! # The incremental contract
 //!
@@ -10,21 +10,23 @@
 //!
 //! * the node-major bit-parallel **waveforms** of every node (the raw
 //!   simulation state of [`crate::simulate`]),
-//! * the derived per-net **activities** (`p_one`/`sw01`),
-//! * the per-node capacitive **loads** (`load_pf` values; the
-//!   primary-output sink counts they depend on are the network's own).
+//! * the derived per-net **activities** (`p_one`/`sw01`).
+//!
+//! Loads are not cached: they are a pure function of the network
+//! ([`dvs_sta::load_pf`]), which [`crate::estimate`] reads on every
+//! breakdown.
 //!
 //! Each netlist edit is reported as a [`PowerDelta`] (mirroring the edit
 //! journal's deltas); [`PowerState::refresh`] then absorbs a whole batch at
 //! once. What invalidates what:
 //!
-//! | delta | waveforms | loads |
-//! |---|---|---|
-//! | `Rail` | nothing | nothing (voltages are read live) |
-//! | `Size(g)` | nothing | fanins of `g` (its input pins grew/shrank) |
-//! | `ConverterInserted` | seed the converter's cone | driver + converter |
-//! | `ConverterRemoved` | seed the orphaned sinks' cones | driver |
-//! | `Rollback` | seed every touched node's cone | touched ∪ their fanins |
+//! | delta | waveforms |
+//! |---|---|
+//! | `Rail` | nothing (voltages are read live) |
+//! | `SetSize` | nothing (sizes change loads, never logic) |
+//! | `ConverterInserted` | seed the converter's cone |
+//! | `ConverterRemoved` | seed the orphaned sinks' cones |
+//! | `Rollback` | seed every touched node's cone |
 //!
 //! Cone re-simulation walks the dirty region as a **level-synchronous
 //! wavefront**: dirty gates are bucketed by logic level, each level's
@@ -49,23 +51,20 @@
 //! [`PowerState::breakdown`] is **bit-compatible** with a from-scratch
 //! [`crate::simulate`] + [`crate::estimate`] pair: identical waveforms
 //! (same PI stream, same word-level evaluation), identical statistics
-//! (shared tail-mask counting code), identical loads (same `load_pf`
-//! inputs), and the identical summation loop in the identical node order
-//! (both paths run [`crate::estimate`]'s loop; only the load lookup is
-//! injected). Equality is `f64 ==`, not epsilon — the differential
-//! property suite (`tests/incremental_diff.rs`) asserts it across random
-//! networks × random edit/rollback streams. Note that a running total
-//! patched by subtract-and-replace could *not* make this guarantee
-//! (floating-point addition does not reassociate), which is why totals are
-//! re-summed from cached per-node state instead.
+//! (shared tail-mask counting code), and then the very same
+//! [`crate::estimate`] call over the cached activities. Equality is
+//! `f64 ==`, not epsilon — the differential property suite
+//! (`tests/incremental_diff.rs`) asserts it across random networks ×
+//! random edit/rollback streams. Note that a running total patched by
+//! subtract-and-replace could *not* make this guarantee (floating-point
+//! addition does not reassociate), which is why every breakdown re-sums
+//! the whole network instead.
 
 use dvs_celllib::Library;
-use dvs_netlist::{FanoutCone, Network, NodeId};
-use dvs_sta::load_pf;
+use dvs_netlist::{node_level, FanoutCone, Network, NodeId};
 
-use crate::estimate::estimate_with;
-use crate::sim::{eval_row_into, node_level, row_stats, simulate_data};
-use crate::{Activities, PowerBreakdown};
+use crate::sim::{eval_row_into, row_stats, simulate_data};
+use crate::{estimate, Activities, PowerBreakdown};
 
 /// One network edit the power cache must absorb, mirroring the netlist
 /// edit journal's deltas. Enqueue with [`PowerState::note`]; a batch is
@@ -73,31 +72,25 @@ use crate::{Activities, PowerBreakdown};
 #[derive(Debug, Clone)]
 pub enum PowerDelta {
     /// A supply-rail reassignment. Invalidates *nothing* cached — signal
-    /// activity is pure logic, loads are pure structure and sizing, and
-    /// the estimator reads rail voltages live from the network — but is
-    /// recorded so the delta stream stays a faithful journal mirror.
+    /// activity is pure logic and the estimator reads rail voltages live
+    /// from the network — but is recorded so the delta stream stays a
+    /// faithful journal mirror.
     Rail(NodeId),
-    /// A drive-size reassignment of `g`: every fanin of `g` now sees a
-    /// different input-pin capacitance, so their loads are recomputed.
+    /// A drive-size reassignment. Like [`PowerDelta::Rail`] it invalidates
+    /// nothing: the loads it moves are read live by the estimator.
     SetSize(NodeId),
-    /// A level converter `conv` was spliced after `driver`. Structural:
-    /// the node set grew, primary outputs may have moved, and the new
-    /// gate needs a waveform (seeded from `driver`'s cached row).
+    /// A level converter `conv` was spliced after its driver. Structural:
+    /// the node set grew and the new gate needs a waveform.
     ConverterInserted {
         /// The freshly inserted converter gate.
         conv: NodeId,
-        /// The gate (or primary input) it restores.
-        driver: NodeId,
     },
-    /// The converter `conv` was bypassed and tombstoned. `sinks` must be
-    /// its fanouts *captured before the removal* (afterwards the
-    /// tombstone's lists are cleared).
+    /// A converter was bypassed and tombstoned; its former driver
+    /// re-adopts `sinks`, which must be the converter's fanouts *captured
+    /// before the removal* (afterwards the tombstone's lists are cleared).
     ConverterRemoved {
-        /// The tombstoned converter.
-        conv: NodeId,
-        /// Its former single fanin, which re-adopts the sinks.
-        driver: NodeId,
-        /// Fanouts of `conv` at removal time, now re-wired to `driver`.
+        /// Fanouts of the converter at removal time, now re-wired to its
+        /// driver.
         sinks: Vec<NodeId>,
     },
     /// A journal rollback restored an earlier network state. `touched` is
@@ -119,8 +112,6 @@ pub struct RefreshStats {
     /// Gate waveforms re-evaluated: the union of the dirty fanout cones,
     /// after the early bit-identical cutoff.
     pub cone_nodes: usize,
-    /// Per-node loads recomputed.
-    pub loads: usize,
     /// Non-empty wavefront levels the cone walk processed — the number of
     /// parallel batches (`par_batches` in the session counters). A pure
     /// function of the network and the edit batch, independent of the
@@ -144,7 +135,6 @@ pub struct PowerState {
     /// `touched` set and therefore re-evaluated.
     values: Vec<u64>,
     acts: Activities,
-    load: Vec<f64>,
     /// Logic level of every node, the wavefront's bucket key. Slots of
     /// dead nodes are stale, exactly like their waveform rows.
     level: Vec<u32>,
@@ -155,8 +145,8 @@ pub struct PowerState {
 
 impl PowerState {
     /// Builds the cache with one full-network simulation (equiprobable
-    /// inputs, as [`crate::simulate`]) plus one full load computation,
-    /// using the process-wide [`dvs_pool::circuit_jobs`] wavefront width.
+    /// inputs, as [`crate::simulate`]), using the process-wide
+    /// [`dvs_pool::circuit_jobs`] wavefront width.
     pub fn new(net: &Network, lib: &Library, vectors: usize, seed: u64, fclk_mhz: f64) -> Self {
         Self::with_jobs(net, lib, vectors, seed, fclk_mhz, dvs_pool::circuit_jobs())
     }
@@ -174,9 +164,6 @@ impl PowerState {
     ) -> Self {
         let probs = vec![0.5; net.primary_input_count()];
         let data = simulate_data(net, lib, vectors, seed, &probs, jobs);
-        let load = (0..net.node_count())
-            .map(|ix| load_pf(net, lib, NodeId::from_index(ix)))
-            .collect();
         PowerState {
             vectors,
             seed,
@@ -184,7 +171,6 @@ impl PowerState {
             words: data.words,
             values: data.values,
             acts: data.acts,
-            load,
             level: data.level,
             pending: Vec::new(),
             jobs,
@@ -224,9 +210,9 @@ impl PowerState {
     }
 
     /// Absorbs every queued delta: resizes the caches to the current node
-    /// count, re-simulates the dirty fanout cones (with early cutoff) and
-    /// recomputes the dirty loads. `net` must be the network all queued
-    /// deltas were applied to, in order.
+    /// count and re-simulates the dirty fanout cones (with early cutoff).
+    /// `net` must be the network all queued deltas were applied to, in
+    /// order.
     pub fn refresh(&mut self, net: &Network, lib: &Library) -> RefreshStats {
         let deltas = std::mem::take(&mut self.pending);
         let mut stats = RefreshStats {
@@ -239,37 +225,16 @@ impl PowerState {
         let n = net.node_count();
         let alive = |id: NodeId| id.index() < n && !net.node(id).is_dead();
 
-        // Classify the batch. All dirty sets are interpreted against the
+        // Collect the cone seeds. They are interpreted against the
         // *current* network: an id edited and later truncated/tombstoned
         // inside one batch is simply dropped (nothing live depends on it).
         let mut seeds: Vec<NodeId> = Vec::new();
-        let mut load_dirty: Vec<NodeId> = Vec::new();
         for d in &deltas {
             match d {
-                PowerDelta::Rail(_) => {}
-                PowerDelta::SetSize(g) => {
-                    if alive(*g) {
-                        load_dirty.extend_from_slice(net.fanins(*g));
-                    }
-                }
-                PowerDelta::ConverterInserted { conv, driver } => {
-                    seeds.push(*conv);
-                    load_dirty.push(*driver);
-                    load_dirty.push(*conv);
-                }
-                PowerDelta::ConverterRemoved { driver, sinks, .. } => {
-                    seeds.extend_from_slice(sinks);
-                    load_dirty.push(*driver);
-                }
-                PowerDelta::Rollback { touched } => {
-                    for &t in touched {
-                        seeds.push(t);
-                        load_dirty.push(t);
-                        if alive(t) {
-                            load_dirty.extend_from_slice(net.fanins(t));
-                        }
-                    }
-                }
+                PowerDelta::Rail(_) | PowerDelta::SetSize(_) => {}
+                PowerDelta::ConverterInserted { conv } => seeds.push(*conv),
+                PowerDelta::ConverterRemoved { sinks } => seeds.extend_from_slice(sinks),
+                PowerDelta::Rollback { touched } => seeds.extend_from_slice(touched),
             }
         }
 
@@ -280,7 +245,6 @@ impl PowerState {
             self.values.resize(n * self.words, 0);
             self.acts.p_one.resize(n, 0.0);
             self.acts.sw01.resize(n, 0.0);
-            self.load.resize(n, 0.0);
         }
 
         // Cone re-simulation as a level-synchronous wavefront with early
@@ -368,23 +332,6 @@ impl PowerState {
             }
         }
 
-        // Load recomputation (deduplicated, deterministic order).
-        let mut dirty: Vec<usize> = load_dirty
-            .into_iter()
-            .filter(|&id| id.index() < n)
-            .map(NodeId::index)
-            .collect();
-        dirty.sort_unstable();
-        dirty.dedup();
-        for ix in dirty {
-            let id = NodeId::from_index(ix);
-            self.load[ix] = if net.node(id).is_dead() {
-                0.0
-            } else {
-                load_pf(net, lib, id)
-            };
-            stats.loads += 1;
-        }
         stats
     }
 
@@ -410,9 +357,7 @@ impl PowerState {
             "breakdown with {} unabsorbed deltas — refresh first",
             self.pending.len()
         );
-        estimate_with(net, lib, &self.acts, self.fclk_mhz, |id| {
-            self.load[id.index()]
-        })
+        estimate(net, lib, &self.acts, self.fclk_mhz)
     }
 }
 
@@ -478,7 +423,7 @@ mod tests {
         let stats = ps.refresh(&net, &lib);
         assert_eq!(stats.deltas, 2);
         assert_eq!(stats.cone_nodes, 0, "no waveform can change");
-        assert_eq!(stats.loads, 1, "only g2's fanin g1 is load-dirty");
+        assert_eq!(stats.levels, 0);
         assert_exact(&ps, &net, &lib);
     }
 
@@ -503,7 +448,7 @@ mod tests {
         let conv = net
             .insert_converter(drv, &[s1], false, lib.converter())
             .unwrap();
-        ps.note(PowerDelta::ConverterInserted { conv, driver: drv });
+        ps.note(PowerDelta::ConverterInserted { conv });
         let stats = ps.refresh(&net, &lib);
         // cone: the converter itself (new row) plus its one sink, whose
         // recomputation is bit-identical — the cutoff stops there
@@ -513,11 +458,7 @@ mod tests {
         // removal re-routes the sink back and tombstones the converter
         let sinks = net.fanouts(conv).to_vec();
         net.remove_converter(conv).unwrap();
-        ps.note(PowerDelta::ConverterRemoved {
-            conv,
-            driver: drv,
-            sinks,
-        });
+        ps.note(PowerDelta::ConverterRemoved { sinks });
         let stats = ps.refresh(&net, &lib);
         assert_eq!(stats.cone_nodes, 1, "only the orphaned sink re-evaluates");
         assert_exact(&ps, &net, &lib);
@@ -543,7 +484,7 @@ mod tests {
         let conv = net
             .insert_converter(drv, &[s1, s2], false, lib.converter())
             .unwrap();
-        ps.note(PowerDelta::ConverterInserted { conv, driver: drv });
+        ps.note(PowerDelta::ConverterInserted { conv });
         let stats = ps.refresh(&net, &lib);
         // conv (changed: fresh row) + s1 + s2 (both bit-identical, so the
         // reconvergent join is cut off and evaluated zero times)
@@ -555,7 +496,6 @@ mod tests {
     fn edits_inside_an_already_dirty_cone_coalesce() {
         // one batch: converter insertion dirtying a sink's cone, plus a
         // size edit on that same sink — the refresh visits the sink once
-        // and recomputes each dirty load once
         let lib = lib();
         let inv = lib.find("INV").unwrap();
         let mut net = Network::new("p");
@@ -568,7 +508,7 @@ mod tests {
         let conv = net
             .insert_converter(drv, &[s], false, lib.converter())
             .unwrap();
-        ps.note(PowerDelta::ConverterInserted { conv, driver: drv });
+        ps.note(PowerDelta::ConverterInserted { conv });
         net.set_size(s, SizeIx(2));
         ps.note(PowerDelta::SetSize(s));
         net.set_size(s, SizeIx(1));
@@ -576,8 +516,6 @@ mod tests {
         let stats = ps.refresh(&net, &lib);
         assert_eq!(stats.deltas, 3);
         assert_eq!(stats.cone_nodes, 2, "conv + s, visited once each");
-        // dirty loads: drv, conv (splice) ∪ conv (s's fanin, deduped)
-        assert_eq!(stats.loads, 2);
         assert_exact(&ps, &net, &lib);
     }
 
@@ -600,7 +538,7 @@ mod tests {
         let conv = net
             .insert_converter(g1, &[g2], false, lib.converter())
             .unwrap();
-        ps.note(PowerDelta::ConverterInserted { conv, driver: g1 });
+        ps.note(PowerDelta::ConverterInserted { conv });
         net.set_size(g2, SizeIx(2));
         ps.note(PowerDelta::SetSize(g2));
         ps.refresh(&net, &lib);

@@ -26,14 +26,14 @@
 //! The optimization loops re-evaluate Eq. (1) after every candidate edit,
 //! and a full `simulate` per query dominates the flow's runtime at scale.
 //! [`PowerState`] is the journal-aware incremental engine: it caches the
-//! raw waveforms, the per-net activities and the per-node loads, absorbs a
-//! batch of [`PowerDelta`]s (mirroring the netlist edit journal) by
-//! re-simulating only the dirtied fanout cones, and then re-runs the exact
-//! [`estimate`] summation over the cached state. The contract is **bit
-//! compatibility**: after a [`PowerState::refresh`], [`PowerState::breakdown`]
-//! equals a from-scratch [`simulate`] + [`estimate`] field-for-field under
-//! `f64 ==` — not epsilon-close — because both paths share the same
-//! waveform evaluation, statistics counting, load model and summation loop.
+//! raw waveforms and the per-net activities, absorbs a batch of
+//! [`PowerDelta`]s (mirroring the netlist edit journal) by re-simulating
+//! only the dirtied fanout cones, and then calls [`estimate`] itself over
+//! the cached activities. The contract is **bit compatibility**: after a
+//! [`PowerState::refresh`], [`PowerState::breakdown`] equals a from-scratch
+//! [`simulate`] + [`estimate`] field-for-field under `f64 ==` — not
+//! epsilon-close — because both paths share the same waveform evaluation
+//! and statistics counting, and the estimate is the same call.
 //! See the [`incremental`] module docs for the invalidation table and the
 //! differential property suite (`tests/incremental_diff.rs`) that enforces
 //! the guarantee across random networks × random edit/rollback streams.

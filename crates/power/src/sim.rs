@@ -11,7 +11,7 @@
 //! and rows within a level are independent by construction.
 
 use dvs_celllib::Library;
-use dvs_netlist::{Network, NodeId};
+use dvs_netlist::{node_level, Network, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -113,18 +113,6 @@ pub fn simulate_with_probs(
 /// width. Public so that thread-count tests can check their levels clear
 /// it.
 pub const PAR_MIN_ROWS: usize = 256;
-
-/// Logic level of `id` from its fanins' entries in `level`: one more than
-/// the deepest fanin, 0 for primary inputs — [`dvs_netlist::Levels`]'
-/// definition, shared by the wavefront sweep and the incremental engine's
-/// cone re-derivation so both agree on every bucket.
-pub(crate) fn node_level(net: &Network, level: &[u32], id: NodeId) -> u32 {
-    net.fanins(id)
-        .iter()
-        .map(|f| level[f.index()] + 1)
-        .max()
-        .unwrap_or(0)
-}
 
 /// Gates grouped by logic level: every fanin of a gate in wavefront `k`
 /// lives in an earlier wavefront (or is a primary input), so all rows of

@@ -150,16 +150,15 @@ proptest! {
                         let conv = net
                             .insert_converter(g, &sinks, seed % 2 == 0, lib.converter())
                             .expect("sinks are fanouts");
-                        ps.note(PowerDelta::ConverterInserted { conv, driver: g });
+                        ps.note(PowerDelta::ConverterInserted { conv });
                         converters.push(conv);
                     }
                 }
                 3 => {
                     if let Some(conv) = converters.pop() {
-                        let driver = net.node(conv).fanins()[0];
                         let sinks = net.fanouts(conv).to_vec();
                         net.remove_converter(conv).expect("tracked converter");
-                        ps.note(PowerDelta::ConverterRemoved { conv, driver, sinks });
+                        ps.note(PowerDelta::ConverterRemoved { sinks });
                     }
                 }
                 4 => {
@@ -236,7 +235,7 @@ fn rollback_truncation_then_slot_reuse_stays_exact() {
     let conv = net
         .insert_converter(side, &sinks, false, lib.converter())
         .unwrap();
-    ps.note(PowerDelta::ConverterInserted { conv, driver: side });
+    ps.note(PowerDelta::ConverterInserted { conv });
     ps.refresh(&net, &lib);
     assert_exact(&ps, &net, &lib, vectors, seed).unwrap();
 
@@ -252,10 +251,7 @@ fn rollback_truncation_then_slot_reuse_stays_exact() {
         .insert_converter(s0, &[s1], false, lib.converter())
         .unwrap();
     assert_eq!(reused, conv, "the new converter reuses the freed slot");
-    ps.note(PowerDelta::ConverterInserted {
-        conv: reused,
-        driver: s0,
-    });
+    ps.note(PowerDelta::ConverterInserted { conv: reused });
     let stats = ps.refresh(&net, &lib);
     assert_eq!(stats.deltas, 2);
     assert_exact(&ps, &net, &lib, vectors, seed).unwrap();

@@ -31,7 +31,7 @@
 //!
 //! let timing = Timing::analyze(&net, &lib, 10.0);
 //! assert!(timing.arrival_ns(g2) > timing.arrival_ns(g1));
-//! assert!(timing.meets_constraint(1e-9));
+//! assert!(timing.meets_constraint(&net, 1e-9));
 //!
 //! // Demoting a gate to the low rail slows it; the incremental update
 //! // agrees with a from-scratch analysis.

@@ -28,10 +28,9 @@ const EPS: f64 = 1e-12;
 /// and [`Timing::undo_trial`] restores the logged values instead. Required
 /// times never move during a trial.
 ///
-/// Primary-output pad loads and required-time anchors are read from the
-/// network's own sink counts ([`Network::po_sink_count`]); the one piece
-/// of output state kept here is the driver list that
-/// [`Timing::worst_po_slack`] folds.
+/// No output state is kept here: pad loads and required-time anchors are
+/// read from the network's own sink counts ([`Network::po_sink_count`]),
+/// and [`Timing::worst_po_slack`] folds over [`Network::primary_outputs`].
 #[derive(Debug, Clone)]
 pub struct Timing {
     tspec_ns: f64,
@@ -39,8 +38,6 @@ pub struct Timing {
     required: Vec<f64>,
     delay: Vec<f64>,
     load: Vec<f64>,
-    /// The nodes that drive a primary output, in ascending index order.
-    po_drivers: Vec<NodeId>,
     /// Topological position of every node; a converter inserted since the
     /// last rebuild shares its driver's.
     topo_pos: Vec<u32>,
@@ -136,7 +133,6 @@ impl Timing {
             required: Vec::new(),
             delay: Vec::new(),
             load: Vec::new(),
-            po_drivers: Vec::new(),
             topo_pos: Vec::new(),
             index: None,
             queued: Vec::new(),
@@ -155,10 +151,6 @@ impl Timing {
     pub fn rebuild(&mut self, net: &Network, lib: &Library) {
         debug_assert!(self.trial.is_none(), "rebuild with a trial open");
         let n = net.node_count();
-        self.po_drivers = (0..n)
-            .map(NodeId::from_index)
-            .filter(|&id| net.drives_output(id))
-            .collect();
         let index = TopoIndex::new(net);
         let live = index.order.len();
         self.topo_pos = vec![0; n];
@@ -334,20 +326,21 @@ impl Timing {
             .fold(0.0f64, f64::max)
     }
 
-    /// Returns `true` if every primary output meets the constraint within
-    /// `eps` ns.
-    pub fn meets_constraint(&self, eps: f64) -> bool {
-        self.worst_po_slack() >= -eps
+    /// Returns `true` if every primary output of `net` meets the
+    /// constraint within `eps` ns.
+    pub fn meets_constraint(&self, net: &Network, eps: f64) -> bool {
+        self.worst_po_slack(net) >= -eps
     }
 
-    /// Minimum slack over the primary outputs, ns.
-    pub fn worst_po_slack(&self) -> f64 {
+    /// Minimum slack over the primary outputs of `net`, ns (+∞ without
+    /// outputs).
+    pub fn worst_po_slack(&self, net: &Network) -> f64 {
         // PO slack equals tspec − arrival at the driver; required at a
         // driver may be tighter than tspec because of other fanouts, so use
         // the constraint directly.
-        self.po_drivers
+        net.primary_outputs()
             .iter()
-            .map(|d| self.tspec_ns - self.arrival[d.index()])
+            .map(|(_, d)| self.tspec_ns - self.arrival[d.index()])
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -528,7 +521,6 @@ impl Timing {
         self.topo_pos[conv.index()] = self.topo_pos[driver.index()];
         self.queued.resize(n, false);
         self.index = None;
-        self.sync_po_drivers(net, &[driver, conv]);
         for id in [driver, conv] {
             self.rederive(net, lib, id);
         }
@@ -573,7 +565,6 @@ impl Timing {
         self.delay[cix] = 0.0;
         self.load[cix] = 0.0;
         self.index = None;
-        self.sync_po_drivers(net, &[driver, conv]);
         self.rederive(net, lib, driver);
         let mut events = 1;
         let fwd = std::iter::once(driver).chain(net.fanouts(driver).iter().copied());
@@ -583,21 +574,6 @@ impl Timing {
         dvs_obs::hist_record("sta.events_per_change", events as u64);
         dvs_obs::attr_add("sta.events", || net.node(driver).name(), events as u64);
         events
-    }
-
-    /// Brings `po_drivers` in step with the network for just the given
-    /// nodes (structural edits only ever move outputs between a converter
-    /// and its driver).
-    fn sync_po_drivers(&mut self, net: &Network, nodes: &[NodeId]) {
-        for &id in nodes {
-            match (self.po_drivers.binary_search(&id), net.drives_output(id)) {
-                (Err(at), true) => self.po_drivers.insert(at, id),
-                (Ok(at), false) => {
-                    self.po_drivers.remove(at);
-                }
-                _ => {}
-            }
-        }
     }
 
     /// Propagates arrivals from `seeds` until quiescence, logging every
@@ -713,7 +689,7 @@ mod tests {
         for w in gates.windows(2) {
             assert!(t.arrival_ns(w[1]) > t.arrival_ns(w[0]));
         }
-        assert!(t.meets_constraint(0.0));
+        assert!(t.meets_constraint(&net, 0.0));
         assert!(t.critical_delay_ns(&net) > 0.0);
     }
 
@@ -737,8 +713,8 @@ mod tests {
         let lib = lib();
         let (net, _) = chain(&lib, 10);
         let t = Timing::analyze(&net, &lib, 0.01);
-        assert!(!t.meets_constraint(1e-9));
-        assert!(t.worst_po_slack() < 0.0);
+        assert!(!t.meets_constraint(&net, 1e-9));
+        assert!(t.worst_po_slack(&net) < 0.0);
     }
 
     #[test]
@@ -865,17 +841,17 @@ mod tests {
             );
         }
         assert_eq!(
-            t.worst_po_slack().to_bits(),
-            fresh.worst_po_slack().to_bits()
+            t.worst_po_slack(net).to_bits(),
+            fresh.worst_po_slack(net).to_bits()
         );
-        // the PO-driver list folds the same values in the same order as a
-        // scan of the network's per-node output counts
+        // folding over the output list gives the same bits as a scan of
+        // the network's per-node output counts
         let scan = (0..net.node_count())
             .map(NodeId::from_index)
             .filter(|&id| net.po_sink_count(id) > 0)
             .map(|id| t.tspec_ns() - t.arrival_ns(id))
             .fold(f64::INFINITY, f64::min);
-        assert_eq!(t.worst_po_slack().to_bits(), scan.to_bits());
+        assert_eq!(t.worst_po_slack(net).to_bits(), scan.to_bits());
         assert!((t.critical_delay_ns(net) - fresh.critical_delay_ns(net)).abs() < 1e-9);
     }
 
@@ -1075,7 +1051,8 @@ mod tests {
     #[test]
     fn converter_on_the_worst_output_moves_the_po_slack() {
         // the converter takes over the only path to the worst output, so
-        // the PO-driver list must swap the driver for the converter
+        // the worst output slack must follow the output from the driver to
+        // the converter and back
         let lib = lib();
         let inv = lib.find("INV").unwrap();
         let mut net = Network::new("po");
@@ -1086,16 +1063,16 @@ mod tests {
         net.add_output("f", fast);
         net.add_output("y", drv);
         let mut t = Timing::analyze(&net, &lib, 10.0);
-        let before = t.worst_po_slack();
+        let before = t.worst_po_slack(&net);
         let conv = net
             .insert_converter(drv, &[], true, lib.converter())
             .unwrap();
         t.apply_converter_insertion(&net, &lib, conv);
-        assert!(t.worst_po_slack() < before, "converter adds delay");
+        assert!(t.worst_po_slack(&net) < before, "converter adds delay");
         assert_matches_fresh(&t, &net, &lib);
         net.remove_converter(conv).unwrap();
         t.apply_converter_removal(&net, &lib, conv, drv);
-        assert_eq!(t.worst_po_slack().to_bits(), before.to_bits());
+        assert_eq!(t.worst_po_slack(&net).to_bits(), before.to_bits());
         assert_matches_fresh(&t, &net, &lib);
     }
 

@@ -89,8 +89,8 @@ fn assert_bits_match_fresh(t: &Timing, net: &Network, lib: &Library) -> Result<(
         );
     }
     prop_assert_eq!(
-        t.worst_po_slack().to_bits(),
-        fresh.worst_po_slack().to_bits()
+        t.worst_po_slack(net).to_bits(),
+        fresh.worst_po_slack(net).to_bits()
     );
     prop_assert_eq!(
         t.critical_delay_ns(net).to_bits(),
@@ -226,8 +226,8 @@ fn trials_match_direct_updates(
             );
         }
         prop_assert_eq!(
-            t.worst_po_slack().to_bits(),
-            direct.worst_po_slack().to_bits()
+            t.worst_po_slack(net).to_bits(),
+            direct.worst_po_slack(net).to_bits()
         );
         if keep {
             t.keep_trial(net);

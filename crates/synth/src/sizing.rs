@@ -212,7 +212,7 @@ pub fn recover_area(net: &mut Network, lib: &Library, tspec_ns: f64) -> usize {
             }
             net.set_size(g, smaller);
             timing.trial_gate_change(net, lib, g);
-            if timing.meets_constraint(1e-9) {
+            if timing.meets_constraint(net, 1e-9) {
                 timing.keep_trial(net);
                 steps += 1;
                 changed = true;
@@ -348,7 +348,7 @@ mod tests {
         let budget = 1.2 * tmin;
         let steps = recover_area(&mut net, &lib, budget);
         let t = Timing::analyze(&net, &lib, budget);
-        assert!(t.meets_constraint(1e-9));
+        assert!(t.meets_constraint(&net, 1e-9));
         if steps > 0 {
             assert!(total_area(&net, &lib) < area_min_delay);
         }
@@ -360,7 +360,7 @@ mod tests {
         let net = loaded_ladder(&lib);
         let p = prepare(net, &lib, 1.2);
         let t = Timing::analyze(&p.network, &lib, p.tspec_ns);
-        assert!(t.meets_constraint(0.0));
+        assert!(t.meets_constraint(&p.network, 0.0));
         assert!(p.tspec_ns <= 1.2 * p.tmin_ns + 1e-6);
         assert!(p.tspec_ns >= p.tmin_ns);
     }

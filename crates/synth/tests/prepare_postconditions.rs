@@ -17,7 +17,7 @@ fn prepared_circuits_meet_their_own_constraint() {
         let net = mcnc::generate(name, &lib).unwrap();
         let p = prepare(net, &lib, 1.2);
         let t = Timing::analyze(&p.network, &lib, p.tspec_ns);
-        assert!(t.meets_constraint(0.0), "{name}");
+        assert!(t.meets_constraint(&p.network, 0.0), "{name}");
         assert!(
             p.tspec_ns <= 1.2 * p.tmin_ns + 1e-6,
             "{name}: tspec {} vs 1.2*tmin {}",
@@ -62,7 +62,7 @@ fn recovery_shrinks_area_without_violating() {
             );
         }
         assert!(
-            Timing::analyze(&net, &lib, budget).meets_constraint(1e-9),
+            Timing::analyze(&net, &lib, budget).meets_constraint(&net, 1e-9),
             "{name}"
         );
     }

@@ -119,6 +119,6 @@ mod tests {
         let net = generate_mcnc("x2", &lib).unwrap();
         let prepared = prepare(net, &lib, 1.2);
         let t = Timing::analyze(&prepared.network, &lib, prepared.tspec_ns);
-        assert!(t.meets_constraint(0.0));
+        assert!(t.meets_constraint(&prepared.network, 0.0));
     }
 }
