@@ -244,20 +244,32 @@ impl LibraryBuilder {
     /// and [`LibraryError::RailBelowThreshold`] unless the low rail is
     /// above the alpha-power model's threshold.
     pub fn build(self) -> Result<Library, LibraryError> {
+        self.build_at().map_err(|(_, e)| e)
+    }
+
+    /// [`LibraryBuilder::build`], also naming the cell an error belongs
+    /// to: its position in the order the cells were added, the converter
+    /// counting last. `None` for library-wide errors.
+    pub(crate) fn build_at(self) -> Result<Library, (Option<usize>, LibraryError)> {
         let mut cells = self.cells;
-        let converter_sizes = self.converter_sizes.ok_or(LibraryError::MissingConverter)?;
+        let converter_sizes = self
+            .converter_sizes
+            .ok_or((None, LibraryError::MissingConverter))?;
         cells.push(Cell::new_converter("LCONV", converter_sizes));
         let converter = CellRef((cells.len() - 1) as u32);
 
         let mut by_name = BTreeMap::new();
         for (ix, cell) in cells.iter().enumerate() {
             for sz in cell.sizes() {
-                let check = |value: f64, what: &str| -> Result<(), LibraryError> {
+                let check = |value: f64, what: &str| {
                     if value <= 0.0 || !value.is_finite() {
-                        return Err(LibraryError::BadAttribute {
-                            cell: cell.name().to_owned(),
-                            message: format!("{what} must be positive, got {value}"),
-                        });
+                        return Err((
+                            Some(ix),
+                            LibraryError::BadAttribute {
+                                cell: cell.name().to_owned(),
+                                message: format!("{what} must be positive, got {value}"),
+                            },
+                        ));
                     }
                     Ok(())
                 };
@@ -266,27 +278,36 @@ impl LibraryBuilder {
                 check(sz.intrinsic_ns, "intrinsic_ns")?;
                 check(sz.drive_res_ns_per_pf, "drive_res_ns_per_pf")?;
                 if sz.internal_cap_pf < 0.0 || sz.leakage_nw < 0.0 {
-                    return Err(LibraryError::BadAttribute {
-                        cell: cell.name().to_owned(),
-                        message: "internal cap and leakage must be non-negative".to_owned(),
-                    });
+                    return Err((
+                        Some(ix),
+                        LibraryError::BadAttribute {
+                            cell: cell.name().to_owned(),
+                            message: "internal cap and leakage must be non-negative".to_owned(),
+                        },
+                    ));
                 }
             }
             if by_name
                 .insert(cell.name().to_owned(), CellRef(ix as u32))
                 .is_some()
             {
-                return Err(LibraryError::DuplicateCell {
-                    name: cell.name().to_owned(),
-                });
+                return Err((
+                    Some(ix),
+                    LibraryError::DuplicateCell {
+                        name: cell.name().to_owned(),
+                    },
+                ));
             }
         }
 
         let (vt, low) = (self.alpha.vt, self.voltages.low());
         if vt.is_nan() || vt >= low {
-            return Err(LibraryError::RailBelowThreshold {
-                message: format!("low rail {low} V is not above the threshold {vt} V"),
-            });
+            return Err((
+                None,
+                LibraryError::RailBelowThreshold {
+                    message: format!("low rail {low} V is not above the threshold {vt} V"),
+                },
+            ));
         }
         let derate_low = self.alpha.derate(self.voltages);
         Ok(Library {

@@ -28,7 +28,9 @@ use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
 
-use crate::{AlphaPowerModel, Cell, GateFn, Library, LibraryBuilder, SizeVariant, VoltagePair};
+use crate::{
+    AlphaPowerModel, Cell, GateFn, Library, LibraryBuilder, LibraryError, SizeVariant, VoltagePair,
+};
 
 /// Error parsing the library text format.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,13 +152,17 @@ pub fn write(lib: &Library) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`ParseLibraryError`] describing the first malformed line, or a
-/// library-level problem (duplicate cells, missing converter) mapped onto
-/// the final line.
+/// Returns [`ParseLibraryError`] describing the first malformed line. A
+/// problem found once the whole text is read names the line that caused
+/// it: a duplicate cell or a bad size attribute its cell's line, a low rail
+/// not above the threshold the later of the `voltages` and `alpha_model`
+/// lines, and a missing converter the final line.
 pub fn parse(text: &str) -> Result<Library, ParseLibraryError> {
     let mut name = String::from("unnamed");
     let mut voltages: Option<VoltagePair> = None;
     let mut alpha: Option<AlphaPowerModel> = None;
+    // the later of the `voltages` and `alpha_model` lines
+    let mut rails_line = None;
     let mut wire_cap: Option<f64> = None;
     let mut po_load: Option<f64> = None;
     let mut pi_drive: Option<f64> = None;
@@ -197,6 +203,7 @@ pub fn parse(text: &str) -> Result<Library, ParseLibraryError> {
                     return Err(err(line_no, "voltages must satisfy high > low > 0"));
                 }
                 voltages = Some(VoltagePair::new(hi, lo));
+                rails_line = Some(line_no);
             }
             "alpha_model" => {
                 let vt = num("vt")?;
@@ -205,6 +212,7 @@ pub fn parse(text: &str) -> Result<Library, ParseLibraryError> {
                     return Err(err(line_no, "vt and alpha must be positive"));
                 }
                 alpha = Some(AlphaPowerModel::new(vt, al));
+                rails_line = Some(line_no);
             }
             "wire_cap_per_fanout" => wire_cap = Some(num("wire cap")?),
             "po_load" => po_load = Some(num("po load")?),
@@ -296,22 +304,34 @@ pub fn parse(text: &str) -> Result<Library, ParseLibraryError> {
     if let Some(r) = pi_drive {
         builder = builder.pi_drive_res_ns_per_pf(r);
     }
-    let mut converter_sizes = None;
+    // the line of each cell in the order the builder sees them, the
+    // converter last
+    let mut cell_lines = Vec::new();
+    let mut converter = None;
     for cell in cells {
         match cell.function {
             Some(f) => {
                 if cell.sizes.is_empty() {
                     return Err(err(cell.line, format!("cell `{}` has no sizes", cell.name)));
                 }
+                cell_lines.push(cell.line);
                 builder = builder.cell(Cell::new(cell.name, f, cell.sizes));
             }
-            None => converter_sizes = Some(cell.sizes),
+            None => converter = Some((cell.line, cell.sizes)),
         }
     }
-    if let Some(sizes) = converter_sizes {
+    if let Some((line, sizes)) = converter {
+        cell_lines.push(line);
         builder = builder.converter_cell(sizes);
     }
-    builder.build().map_err(|e| err(last_line, e.to_string()))
+    builder.build_at().map_err(|(cell, e)| {
+        let line = match (&e, cell) {
+            (_, Some(ix)) => cell_lines[ix],
+            (LibraryError::RailBelowThreshold { .. }, None) => rails_line.unwrap_or(last_line),
+            _ => last_line,
+        };
+        err(line, e.to_string())
+    })
 }
 
 #[cfg(test)]
@@ -373,22 +393,48 @@ converter LC
 
     #[test]
     fn errors_carry_line_numbers() {
+        let size = "  size d0 area=1 cap=0.01 intrinsic=0.1 res=3 internal=0.004 leak=1\n";
+        let converter = format!("converter LC\n{size}");
         let cases = [
-            ("library x\nvoltages 2 5\n", "high > low"),
-            ("library x\nbogus 1\n", "unknown directive"),
-            ("size d0 area=1\n", "outside a cell"),
-            ("cell X function=WAT\n", "unknown function"),
+            ("library x\nvoltages 2 5\n".to_owned(), "high > low", 2),
+            ("library x\nbogus 1\n".to_owned(), "unknown directive", 2),
+            ("size d0 area=1\n".to_owned(), "outside a cell", 1),
+            ("cell X function=WAT\n".to_owned(), "unknown function", 1),
             (
-                "cell INV function=INV\n  size d0 area=1 cap=0.01\n",
+                "cell INV function=INV\n  size d0 area=1 cap=0.01\n".to_owned(),
                 "missing `intrinsic=`",
+                2,
+            ),
+            // found once the whole text is read: named at the second cell
+            (
+                format!(
+                    "library x\ncell INV function=INV\n{size}cell INV function=INV\n{size}{converter}"
+                ),
+                "duplicate cell family `INV`",
+                4,
+            ),
+            // named at the cell whose size is bad, not at the last line
+            (
+                format!(
+                    "cell INV function=INV\n{}{converter}",
+                    size.replace("area=1", "area=0")
+                ),
+                "bad attribute on `INV`",
+                1,
+            ),
+            (
+                format!("cell INV function=INV\n{size}"),
+                "no level-converter",
+                2,
             ),
         ];
-        for (text, want) in cases {
-            let e = parse(text).unwrap_err();
+        for (text, want, line) in cases {
+            let e = parse(&text).unwrap_err();
             assert!(
                 e.to_string().contains(want),
                 "`{text}` gave `{e}`, wanted `{want}`"
             );
+            assert_eq!(e.line, line, "`{text}` gave `{e}`");
         }
     }
 
@@ -397,13 +443,12 @@ converter LC
         // one line of the compass library's own text edited at a time;
         // each used to panic or to be accepted
         let text = write(&compass::compass_library(VoltagePair::default()));
-        // the threshold is checked once the whole library is read, so its
-        // errors name the last line
-        let last = text.lines().count();
+        // the threshold is checked once the whole library is read; its
+        // errors name the later of the `voltages` and `alpha_model` lines
         let cases = [
             ("alpha_model 0.8 1.3", "alpha_model nan 1.3", 3),
-            ("alpha_model 0.8 1.3", "alpha_model 6 1.3", last),
-            ("voltages 5 4.3", "voltages 5 0.5", last),
+            ("alpha_model 0.8 1.3", "alpha_model 6 1.3", 3),
+            ("voltages 5 4.3", "voltages 5 0.5", 3),
             ("voltages 5 4.3", "voltages inf 4.3", 2),
             ("alpha_model 0.8 1.3", "alpha_model 0.8 inf", 3),
             ("wire_cap_per_fanout 0.004", "wire_cap_per_fanout nan", 4),

@@ -23,110 +23,63 @@ pub struct CvsOutcome {
 /// Runs one clustered-voltage-scaling pass.
 ///
 /// Traverses the live gates in reverse topological order (the BFS from
-/// primary outputs of reference \[8\]): a gate joins the low cluster iff every fanout
-/// gate is already low — so the cluster stays fanout-closed and needs no
-/// internal level restoration — and the alpha-power slowdown fits its
-/// slack. Already-low gates are kept, so re-running after `Gscale`'s
-/// resizing *extends* the cluster ("the new CVS operates with every TCB").
+/// primary outputs of reference \[8\]): a gate joins the low cluster iff
+/// every fanout gate is already low — so the cluster stays fanout-closed
+/// and needs no internal level restoration — and the alpha-power slowdown
+/// fits its slack ([`demotion_fits`]). Already-low gates are kept, so
+/// re-running after `Gscale`'s resizing *extends* the cluster ("the new CVS
+/// operates with every TCB").
 ///
-/// `timing` must be up to date for `net`; it is maintained incrementally
-/// as gates are demoted.
+/// The traversal is one [`Timing::lower_sweep`]: a backward pass that sets
+/// required times and takes each decision as it reaches the gate, then one
+/// forward pass of arrivals. When a gate is reached its fanouts are
+/// settled, and its arrival and load are those of the entry state, so the
+/// decisions and the resulting timing are exactly those of re-timing the
+/// network incrementally after every demotion, at the cost of two passes
+/// over the network.
+///
+/// `timing` must be up to date for `net`; the pass leaves it equal to a
+/// fresh analysis of the lowered network.
 pub fn cvs(net: &mut Network, lib: &Library, timing: &mut Timing, guard_ns: f64) -> CvsOutcome {
-    let mut counters = FlowCounters::default();
-    cvs_counted(net, lib, timing, guard_ns, &mut counters, &mut Vec::new())
+    cvs_counted(net, lib, timing, guard_ns, &mut FlowCounters::default())
 }
 
-/// [`cvs`] with instrumentation: every demotion bumps `counters` (rail
-/// edits and incremental-STA events) and appends its STA event count to
-/// `events`, in the order of [`CvsOutcome::lowered`].
-/// [`crate::FlowSession::run_cvs`] calls this so session-hosted passes stay
-/// fully counted, and keeps `events` for a [`CvsMemo`].
+/// [`cvs`] with instrumentation: the pass bumps `counters` by its rail
+/// edits and its sweep's STA events, and attributes one `session.edits`
+/// record to each demoted gate. [`crate::FlowSession::run_cvs`] calls this
+/// so session-hosted passes stay fully counted.
 pub(crate) fn cvs_counted(
     net: &mut Network,
     lib: &Library,
     timing: &mut Timing,
     guard_ns: f64,
     counters: &mut FlowCounters,
-    events: &mut Vec<u64>,
 ) -> CvsOutcome {
     let _span = dvs_obs::span("cvs");
     let mut lowered = Vec::new();
-    for g in net.reverse_topo_order() {
-        let node = net.node(g);
-        if !node.is_gate() || node.is_converter() || node.rail() == Rail::Low {
-            continue;
-        }
-        let cluster_ok = net.fanouts(g).iter().all(|&s| {
+    let events = timing.lower_sweep(net, lib, |net, timing, g| {
+        let joins_cluster = net.fanouts(g).iter().all(|&s| {
             let sn = net.node(s);
             sn.rail() == Rail::Low && !sn.is_converter()
         });
-        if !cluster_ok {
-            continue;
-        }
-        let plan = match DemotionPlan::build(net, lib, timing, g) {
-            Some(p) => p,
-            None => continue,
-        };
-        debug_assert!(plan.high_sinks.is_empty(), "cluster check failed");
-        if demotion_fits(net, timing, &plan, guard_ns) {
-            net.set_rail(g, Rail::Low);
-            counters.rail_edits += 1;
-            let ev = timing.apply_gate_change(net, lib, g) as u64;
-            counters.sta_events += ev;
+        // `build` refuses primary inputs, converters and low gates
+        let fits = joins_cluster
+            && DemotionPlan::build(net, lib, timing, g).is_some_and(|plan| {
+                debug_assert!(plan.high_sinks.is_empty(), "cluster check failed");
+                demotion_fits(net, timing, &plan, guard_ns)
+            });
+        if fits {
             // this path bypasses the session's set_rail, so it must emit
-            // its own attribution (sta.events rides the apply fn itself)
+            // its own attribution
             dvs_obs::attr_add("session.edits", || net.node(g).name(), 1);
-            events.push(ev);
             lowered.push(g);
         }
-    }
+        fits
+    });
+    counters.rail_edits += lowered.len() as u64;
+    counters.sta_events += events as u64;
     let tcb = time_critical_boundary(net, lib, timing, guard_ns);
     CvsOutcome { lowered, tcb }
-}
-
-/// A CVS pass recorded from a freshly analyzed session state, so that the
-/// session can replay it instead of running it again; see
-/// [`crate::session`]'s "CVS replay".
-#[derive(Debug)]
-pub(crate) struct CvsMemo {
-    /// The edit-journal length of the fresh state the pass started from:
-    /// the memo's key, dropped by a rollback below it, which may rebuild a
-    /// different state of that length.
-    pub(crate) journal_len: usize,
-    /// `guard_ns.to_bits()` of the recorded pass.
-    pub(crate) guard_bits: u64,
-    pub(crate) outcome: CvsOutcome,
-    /// STA events of each demotion, in the order of `outcome.lowered`.
-    pub(crate) events: Vec<u64>,
-    /// The timing the pass left behind.
-    pub(crate) timing: Timing,
-}
-
-impl CvsMemo {
-    /// Repeats the recorded pass on the state it was recorded from: the
-    /// same journaled rail edits in the same order, the same counter
-    /// increments and observations per demotion (the histogram and
-    /// `sta.events` record that [`Timing::apply_gate_change`] emits, then
-    /// `session.edits`), and the recorded timing in place of the
-    /// re-propagation.
-    pub(crate) fn replay(
-        &self,
-        net: &mut Network,
-        timing: &mut Timing,
-        counters: &mut FlowCounters,
-    ) -> CvsOutcome {
-        let _span = dvs_obs::span("cvs");
-        for (&g, &ev) in self.outcome.lowered.iter().zip(&self.events) {
-            net.set_rail(g, Rail::Low);
-            counters.rail_edits += 1;
-            counters.sta_events += ev;
-            dvs_obs::hist_record("sta.events_per_change", ev);
-            dvs_obs::attr_add("sta.events", || net.node(g).name(), ev);
-            dvs_obs::attr_add("session.edits", || net.node(g).name(), 1);
-        }
-        timing.clone_from(&self.timing);
-        self.outcome.clone()
-    }
 }
 
 /// Computes the time-critical boundary of the current assignment: the

@@ -34,19 +34,15 @@ pub struct AlgoReport {
     /// CPU time charged to the executing thread (Table 1 `CPU` analogue).
     /// Measured with a per-thread clock ([`CpuTimer`]) so the column stays
     /// comparable between sequential runs and loaded worker pools; power
-    /// measurement and audits between phases are nobody's time. It
-    /// measures what actually ran: `Dscale`'s and `Gscale`'s opening CVS
-    /// is a replay of the CVS phase's pass (see [`FlowSession::run_cvs`]),
-    /// so the CPU cost of a standalone `Dscale` run is
-    /// `cvs.cpu + dscale.cpu`, and likewise for `Gscale`.
+    /// measurement and audits between phases are nobody's time.
+    /// `Dscale`'s and `Gscale`'s time includes their own opening CVS pass.
     pub cpu: Duration,
     /// Session instrumentation scoped to this algorithm's phase: the
     /// rollback that restores the pristine network (one `full_analyses`)
     /// plus everything the algorithm itself did, its opening CVS
-    /// included — a replayed CVS counts the same rail edits and STA
-    /// events as a live one. The algorithms absorb structural edits
-    /// incrementally, so rollbacks are the only full analyses a phase
-    /// pays.
+    /// included. The algorithms absorb structural edits incrementally, and
+    /// a CVS sweep is no full analysis, so rollbacks are the only full
+    /// analyses a phase pays.
     pub sta: FlowCounters,
 }
 
@@ -123,10 +119,10 @@ fn report(
 /// protocol paid for its clone + from-scratch `Timing::analyze` — so the
 /// CPU columns stay comparable.
 ///
-/// The CVS pass runs once: `Dscale` and `Gscale` each open with the same
-/// CVS from the same freshly rolled-back state, and the session replays
-/// the first pass for them bit for bit ([`FlowSession::run_cvs`]). Their
-/// `sta` counters still include that CVS work; their `cpu` does not.
+/// `Dscale` and `Gscale` each open with the same CVS pass from the same
+/// rolled-back state; each runs it live ([`FlowSession::run_cvs`]), which
+/// costs one reverse sweep and one forward pass over the network, and
+/// their `sta` counters and `cpu` include it.
 ///
 /// Every run is audited ([`crate::audit`]) before measurement; a violated
 /// invariant is a bug, so this panics rather than reporting nonsense.

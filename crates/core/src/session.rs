@@ -24,27 +24,12 @@
 //!   ([`FlowCounters::since`]). `FlowCounters` is the one record of
 //!   session work; the phases' trace lines are [`dvs_obs::instant`]
 //!   events, rendered only when a [`dvs_obs::Subscriber`] is installed.
-//! * **CVS replay** — [`crate::run_circuit`] rolls back to its base
-//!   checkpoint before `Dscale` and `Gscale`, and both open with the same
-//!   CVS pass the CVS phase already ran. The session therefore records the
-//!   first pass that starts from a *fresh* state, one whose edit journal
-//!   is as long as at the last full analysis ([`FlowSession::new`] or a
-//!   [`FlowSession::rollback`]), and replays it when
-//!   [`FlowSession::run_cvs`] is called again from a fresh state at the
-//!   same journal length with the same `guard_ns` bits. Freshness needs no
-//!   bookkeeping in the edit methods: every edit that changes the network
-//!   grows the journal, and a no-op edit (a rail or size set to its
-//!   current value) moves neither the network nor a timing bit. The
-//!   replay re-applies the recorded demotions in order as journaled rail
-//!   edits (so later rollbacks undo them), bumps the same counters, emits
-//!   the same `cvs` span, `sta.events_per_change` samples and
-//!   `sta.events` / `session.edits` attributions, and restores the
-//!   recorded post-pass timing. It is exact because the two starting
-//!   states are identical: the journal restores the network bit for bit
-//!   and both timings come from a from-scratch [`Timing::analyze`]. No
-//!   power delta is queued, as in the live pass (rail flips change no
-//!   activity). A rollback that truncates the journal below the recorded
-//!   length drops the memo, since a later state of that length may differ.
+//! * **One CVS path** — [`FlowSession::run_cvs`] and the public
+//!   [`crate::cvs()`] run the same single reverse sweep
+//!   ([`Timing::lower_sweep`]), whose rail edits are journaled like any
+//!   other, so a rollback undoes them. [`crate::run_circuit`] rolls back to
+//!   its base checkpoint before `Dscale` and `Gscale`, and both run their
+//!   opening CVS live; a pass costs about two passes over the network.
 
 use dvs_celllib::Library;
 use dvs_netlist::{Checkpoint, Network, NodeId, Rail, SizeIx};
@@ -53,7 +38,7 @@ use dvs_sta::Timing;
 
 use crate::audit::AuditError;
 use crate::config::FlowConfig;
-use crate::cvs::{CvsMemo, CvsOutcome};
+use crate::cvs::CvsOutcome;
 use crate::demote::DemotionPlan;
 
 /// Monotone per-session instrumentation counters.
@@ -73,7 +58,8 @@ pub struct FlowCounters {
     /// Level converters bypassed and tombstoned.
     pub converters_removed: u64,
     /// Worklist events processed by incremental STA: nodes popped during
-    /// forward/backward re-propagation, summed over every edit.
+    /// forward/backward re-propagation, summed over every edit, plus the
+    /// node re-timings of each CVS sweep ([`Timing::lower_sweep`]).
     pub sta_events: u64,
     /// Full from-scratch timing analyses (session construction and each
     /// rollback). These are the *cold* path: the algorithms absorb every
@@ -160,13 +146,6 @@ pub struct FlowSession<'l> {
     /// [`FlowSession::capture_separators`] so benchmarks can time max-flow
     /// algorithms on the exact production inputs.
     pub(crate) captured_separators: Option<Vec<dvs_flow::SeparatorProblem>>,
-    /// The journal length at the last full analysis, by
-    /// [`FlowSession::new`] or [`FlowSession::rollback`]: the state is
-    /// fresh while the journal has not grown past it.
-    analyzed_len: usize,
-    /// The CVS pass recorded from a fresh state, replayed by a later
-    /// [`FlowSession::run_cvs`] from the same state with the same guard.
-    cvs_memo: Option<CvsMemo>,
 }
 
 impl std::fmt::Debug for FlowSession<'_> {
@@ -187,7 +166,6 @@ impl<'l> FlowSession<'l> {
     pub fn new(mut net: Network, lib: &'l Library, tspec_ns: f64) -> Self {
         net.enable_journal();
         let timing = Timing::analyze(&net, lib, tspec_ns);
-        let analyzed_len = net.journal_len();
         FlowSession {
             net,
             lib,
@@ -199,8 +177,6 @@ impl<'l> FlowSession<'l> {
             },
             power: None,
             captured_separators: None,
-            analyzed_len,
-            cvs_memo: None,
         }
     }
 
@@ -363,10 +339,6 @@ impl<'l> FlowSession<'l> {
     pub fn rollback(&mut self, cp: Checkpoint) {
         let touched = self.net.rollback_to(cp);
         self.timing = Timing::analyze(&self.net, self.lib, self.tspec_ns);
-        self.analyzed_len = self.net.journal_len();
-        if matches!(&self.cvs_memo, Some(m) if self.net.journal_len() < m.journal_len) {
-            self.cvs_memo = None;
-        }
         let nodes_touched = touched.len();
         if let Some(p) = self.power.as_mut() {
             p.note(PowerDelta::Rollback { touched });
@@ -466,47 +438,17 @@ impl<'l> FlowSession<'l> {
         self.power(cfg).total_uw
     }
 
-    /// Runs a [CVS](crate::cvs) pass inside the session, counting each
-    /// demotion's rail edit and STA cost.
-    ///
-    /// A pass from the same fresh state with the same guard as an earlier
-    /// one is a replay (see the module docs): it leaves the network, the
-    /// timing, the counters and the observations exactly as the live pass
-    /// would, so [`FlowCounters::sta_events`] still counts the CVS work,
-    /// while the CPU it costs is that of the replay.
+    /// Runs a [CVS](crate::cvs()) pass inside the session, counting its
+    /// rail edits and the STA events of its sweep. No power delta is
+    /// queued: a rail flip changes no switching activity.
     pub fn run_cvs(&mut self, guard_ns: f64) -> CvsOutcome {
-        let journal_len = self.net.journal_len();
-        let fresh = journal_len == self.analyzed_len;
-        let FlowSession {
-            net,
-            lib,
-            timing,
-            counters,
-            cvs_memo,
-            ..
-        } = self;
-        match cvs_memo.as_ref() {
-            Some(m)
-                if fresh && m.journal_len == journal_len && m.guard_bits == guard_ns.to_bits() =>
-            {
-                m.replay(net, timing, counters)
-            }
-            _ => {
-                let mut events = Vec::new();
-                let out =
-                    crate::cvs::cvs_counted(net, lib, timing, guard_ns, counters, &mut events);
-                if fresh {
-                    *cvs_memo = Some(CvsMemo {
-                        journal_len,
-                        guard_bits: guard_ns.to_bits(),
-                        outcome: out.clone(),
-                        events,
-                        timing: timing.clone(),
-                    });
-                }
-                out
-            }
-        }
+        crate::cvs::cvs_counted(
+            &mut self.net,
+            self.lib,
+            &mut self.timing,
+            guard_ns,
+            &mut self.counters,
+        )
     }
 
     /// Runs the paper's [`crate::dscale`] inside the session: timing is
@@ -672,36 +614,37 @@ mod tests {
     }
 
     #[test]
-    fn cvs_from_a_fresh_checkpoint_state_is_a_replay() {
+    fn cvs_from_the_same_rolled_back_state_repeats_itself() {
         let lib = lib();
         let net = chain(&lib, 6);
         let nominal = Timing::analyze(&net, &lib, 0.0).critical_delay_ns(&net);
         let mut sess = FlowSession::new(net, &lib, nominal * 1.5);
         let base = sess.checkpoint();
-        let first = sess.run_cvs(1e-9);
-        assert!(!first.lowered.is_empty());
-        assert_ne!(sess.net.journal_len(), sess.analyzed_len);
-        sess.rollback(base);
-        assert_eq!(sess.net.journal_len(), sess.analyzed_len);
-        // a replay hands back the recorded outcome: tag it to tell
-        let tag = NodeId::from_index(0);
-        sess.cvs_memo
-            .as_mut()
-            .expect("recorded")
-            .outcome
-            .tcb
-            .push(tag);
-        assert_eq!(sess.run_cvs(1e-9).tcb.last(), Some(&tag));
-        // a no-op edit journals nothing and moves no bit: still a replay
-        sess.rollback(base);
-        sess.set_size(first.lowered[0], SizeIx(0));
-        assert_eq!(sess.run_cvs(1e-9).tcb.last(), Some(&tag));
-        // after a real edit, or with another guard, the pass runs live
-        sess.rollback(base);
-        sess.set_size(first.lowered[0], SizeIx(1));
-        assert_ne!(sess.run_cvs(1e-9).tcb.last(), Some(&tag));
-        sess.rollback(base);
-        assert_ne!(sess.run_cvs(2e-9).tcb.last(), Some(&tag));
+        let pass = |sess: &mut FlowSession<'_>| {
+            let c0 = *sess.counters();
+            sess.rollback(base);
+            let out = sess.run_cvs(1e-9);
+            let delta = sess.counters().since(&c0);
+            let bits: Vec<[u64; 4]> = sess
+                .network()
+                .node_ids()
+                .map(|id| {
+                    let t = sess.timing();
+                    [
+                        t.arrival_ns(id).to_bits(),
+                        t.required_ns(id).to_bits(),
+                        t.load_pf(id).to_bits(),
+                        t.delay_ns(id).to_bits(),
+                    ]
+                })
+                .collect();
+            (out, delta, bits)
+        };
+        let first = pass(&mut sess);
+        assert!(!first.0.lowered.is_empty());
+        assert_eq!(first.1.rail_edits, first.0.lowered.len() as u64);
+        assert_eq!(first.1.full_analyses, 1, "the rollback's analysis only");
+        assert_eq!(pass(&mut sess), first);
     }
 
     #[test]

@@ -4,12 +4,15 @@
 //! from-scratch [`Timing::analyze`] — and the incrementally maintained
 //! power *bit-identical* to a from-scratch `simulate` + `estimate` — and
 //! a rollback must restore the network bit-exactly. A CVS pass through the
-//! session, replayed or live, must equal the public [`cvs`] run on clones.
+//! session must equal the one-gate-at-a-time reference CVS
+//! ([`oracle::incremental_cvs`]) run on clones.
+
+mod oracle;
 
 use std::sync::Arc;
 
 use dvs_celllib::{compass, Library, VoltagePair};
-use dvs_core::{cvs, CvsOutcome, FlowConfig, FlowCounters, FlowSession};
+use dvs_core::{time_critical_boundary, CvsOutcome, FlowConfig, FlowCounters, FlowSession};
 use dvs_netlist::{Network, NodeId, Rail, SizeIx};
 use dvs_power::{estimate, simulate};
 use dvs_sta::Timing;
@@ -113,10 +116,11 @@ fn assert_power_fresh(sess: &mut FlowSession<'_>, cfg: &FlowConfig) -> Result<()
     Ok(())
 }
 
-/// What a session CVS pass must produce: the public [`cvs`] run on clones
+/// What a session CVS pass must produce: the reference CVS run on clones
 /// of the session's network and timing, plus the counter delta the
-/// session must report — one rail edit per demotion and the STA events
-/// that re-applying the demotions in order costs.
+/// session must report — one rail edit per demotion, and the STA events of
+/// one sweep: a required time and an arrival per live node and a delay per
+/// demotion.
 struct CvsOracle {
     outcome: CvsOutcome,
     net: Network,
@@ -129,16 +133,11 @@ impl CvsOracle {
         let lib = sess.library();
         let mut net = sess.network().clone();
         let mut timing = sess.timing().clone();
-        let outcome = cvs(&mut net, lib, &mut timing, guard_ns);
-        let (mut again, mut retimed) = (sess.network().clone(), sess.timing().clone());
-        let mut sta_events = 0;
-        for &g in &outcome.lowered {
-            again.set_rail(g, Rail::Low);
-            sta_events += retimed.apply_gate_change(&again, lib, g) as u64;
-        }
+        let outcome = oracle::incremental_cvs(&mut net, lib, &mut timing, guard_ns);
+        let lowered = outcome.lowered.len() as u64;
         let delta = FlowCounters {
-            rail_edits: outcome.lowered.len() as u64,
-            sta_events,
+            rail_edits: lowered,
+            sta_events: 2 * net.node_ids().count() as u64 + lowered,
             ..FlowCounters::default()
         };
         CvsOracle {
@@ -265,8 +264,9 @@ proptest! {
                     }
                 }
                 _ => {
-                    // CVS; half the time from a fresh rollback to `base`,
-                    // where a pass with the same guard is a replay
+                    // CVS; half the time from a rollback to `base`, half
+                    // over whatever edits, low cluster and converters the
+                    // earlier ops left
                     if seed % 2 == 0 {
                         sess.rollback(base);
                         inner = None;
@@ -304,8 +304,8 @@ proptest! {
 }
 
 /// A session CVS pass checked against its oracle inside a [`Recorder`]
-/// window, followed by a power refresh (a replay queues no power delta, as
-/// the live pass queues none). Returns the counter delta and the rollup.
+/// window, followed by a power refresh (the pass queues no power delta).
+/// Returns the counter delta and the rollup.
 fn observed_cvs(
     rec: &dvs_obs::Recorder,
     sess: &mut FlowSession<'_>,
@@ -324,14 +324,41 @@ fn observed_cvs(
     (delta, rollup)
 }
 
-/// `run_circuit`'s sequence CVS → Dscale → rollback(base) → CVS replays the
-/// first pass. The replay must equal a fresh session's first (live) CVS in
-/// outcome, network, timing bits, counter delta and observability rollup,
-/// on every profile at scale 1 and on pcle and C1355 at scale 10. An edit
-/// after the rollback, another guard, a rollback to another checkpoint and
-/// an equal checkpoint rebuilt after a deeper rollback each run CVS live.
+/// Up-sizes every gate of the time-critical boundary `tcb` and each of
+/// their gate fanins by one step where the cell allows, as Gscale's
+/// separator resizing speeds the paths into the boundary. Returns the
+/// number of size edits.
+fn upsize_into_the_boundary(sess: &mut FlowSession<'_>, tcb: &[NodeId]) -> usize {
+    let mut picks: Vec<NodeId> = Vec::new();
+    for &g in tcb {
+        picks.push(g);
+        picks.extend(sess.network().fanins(g));
+    }
+    picks.sort_unstable();
+    picks.dedup();
+    let mut edits = 0;
+    for g in picks {
+        let node = sess.network().node(g);
+        if !node.is_gate() || node.is_converter() {
+            continue;
+        }
+        if node.size().index() + 1 < sess.library().cell(node.cell()).sizes().len() {
+            sess.set_size(g, SizeIx(node.size().0 + 1));
+            edits += 1;
+        }
+    }
+    edits
+}
+
+/// `run_circuit`'s sequence CVS → Dscale → rollback(base) → CVS must repeat
+/// the first pass: the second pass must equal a fresh session's first CVS
+/// in outcome, network, timing bits, counter delta and observability
+/// rollup, on every profile at scale 1 and on pcle and C1355 at scale 10.
+/// Each pass is also checked against the reference CVS, and so are passes
+/// after an edit, with another guard, and Gscale-style re-runs that extend
+/// an existing low cluster after resizing into its boundary.
 #[test]
-fn cvs_replay_matches_a_fresh_pass_on_every_profile() {
+fn cvs_after_a_rollback_matches_a_fresh_pass_on_every_profile() {
     let lib = lib();
     let cfg = FlowConfig {
         sim_vectors: 64,
@@ -344,6 +371,7 @@ fn cvs_replay_matches_a_fresh_pass_on_every_profile() {
     dvs_obs::set_subscriber(Some(rec.clone()));
     let mut cases: Vec<_> = mcnc::PROFILES.iter().map(|p| (p.name, 1)).collect();
     cases.extend([("pcle", 10), ("C1355", 10)]);
+    let (mut resized, mut extended) = (0, 0);
     for (name, scale) in cases {
         let profile = mcnc::find(name).expect("known profile");
         let p = prepare(mcnc::generate_scaled(profile, &lib, scale, 0), &lib, 1.2);
@@ -363,8 +391,8 @@ fn cvs_replay_matches_a_fresh_pass_on_every_profile() {
         sess.run_dscale(&cfg);
         sess.rollback(base);
         sess.ensure_power(&cfg);
-        let replayed = observed_cvs(&rec, &mut sess, &cfg, guard_ns);
-        assert_eq!(replayed, live, "{name}.x{scale}: replay vs live");
+        let again = observed_cvs(&rec, &mut sess, &cfg, guard_ns);
+        assert_eq!(again, live, "{name}.x{scale}: after a rollback vs fresh");
 
         // a gate whose size can move
         let (g, size) = {
@@ -383,23 +411,32 @@ fn cvs_replay_matches_a_fresh_pass_on_every_profile() {
         sess.rollback(base);
         check(&mut sess, guard_ns + 0.05, "other guard");
 
+        // Gscale's loop: CVS, resize into the boundary, CVS again over the
+        // existing low cluster, twice
         sess.rollback(base);
-        sess.set_size(g, size);
-        let other = sess.checkpoint();
-        sess.run_cvs(guard_ns);
-        sess.rollback(other);
-        check(&mut sess, guard_ns, "other checkpoint");
-        sess.rollback(other);
-        check(&mut sess, guard_ns, "other checkpoint again");
-
-        // `rebuilt` equals `other` as a journal position, but names a
-        // state with a different edit
-        sess.rollback(base);
-        sess.set_rail(g, Rail::Low);
-        let rebuilt = sess.checkpoint();
-        assert_eq!(rebuilt, other);
-        sess.rollback(rebuilt);
-        check(&mut sess, guard_ns, "rebuilt checkpoint");
+        let mut tcb = sess.run_cvs(guard_ns).tcb;
+        for round in 0..2 {
+            resized += upsize_into_the_boundary(&mut sess, &tcb);
+            let low_before = sess
+                .network()
+                .gate_ids()
+                .filter(|&g| sess.network().node(g).rail() == Rail::Low)
+                .count();
+            check(
+                &mut sess,
+                guard_ns,
+                &format!("re-run {round} after resizing"),
+            );
+            let low = sess
+                .network()
+                .gate_ids()
+                .filter(|&g| sess.network().node(g).rail() == Rail::Low)
+                .count();
+            extended += usize::from(low > low_before && low_before > 0);
+            tcb = time_critical_boundary(sess.network(), &lib, sess.timing(), guard_ns);
+        }
     }
     dvs_obs::set_subscriber(None);
+    assert!(resized > 0, "no boundary gate could be up-sized");
+    assert!(extended > 0, "no re-run extended an existing low cluster");
 }

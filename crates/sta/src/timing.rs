@@ -1,13 +1,9 @@
 use std::collections::BinaryHeap;
 
 use dvs_celllib::Library;
-use dvs_netlist::{Network, NodeId};
+use dvs_netlist::{Network, NodeId, Rail};
 
 use crate::load::load_pf;
-
-/// Tolerance below which timing values are considered unchanged during
-/// incremental propagation.
-const EPS: f64 = 1e-12;
 
 /// Arrival/required/slack view of a network under a timing constraint.
 ///
@@ -16,10 +12,18 @@ const EPS: f64 = 1e-12;
 /// structural edits by [`Timing::apply_converter_insertion`] /
 /// [`Timing::apply_converter_removal`] — all three are worklist
 /// propagations touching only the affected cones, so hot loops never need
-/// the from-scratch [`Timing::rebuild`]. [`Timing::retarget`] moves the
-/// constraint by re-timing arrivals only in the fanout cones of the edited
-/// gates and re-deriving every required time in one backward pass over a
-/// flat topological index.
+/// the from-scratch [`Timing::rebuild`].
+///
+/// Incremental timing is exact: a propagation goes on while any bit of a
+/// value moves, so after any sequence of updates every arrival, required
+/// time, load and delay equals a fresh [`Timing::analyze`] of the same
+/// network bit for bit (by induction over the topological order: each value
+/// is recomputed, by the same formula, whenever one of its inputs moved).
+/// [`Timing::retarget`] therefore moves the constraint with one backward
+/// pass of required times over a flat topological index, and
+/// [`Timing::lower_sweep`] runs a whole clustered-voltage-scaling pass as
+/// one backward pass that takes the demotion decisions plus one forward
+/// pass of arrivals.
 ///
 /// A gate edit that may be taken back is cheaper as a *trial*:
 /// [`Timing::trial_gate_change`] does the forward half of
@@ -44,8 +48,8 @@ pub struct Timing {
     /// The network's structure as of the last rebuild, dropped by any
     /// structural edit.
     index: Option<TopoIndex>,
-    /// Worklist flags, all false between calls: indexed by node in the
-    /// incremental propagations, by topological position in [`Self::sweep`].
+    /// Worklist flags of the incremental propagations, indexed by node and
+    /// all false between calls.
     queued: Vec<bool>,
     /// Worklist of the incremental propagations, empty between calls.
     heap: BinaryHeap<(i64, NodeId)>,
@@ -147,85 +151,117 @@ impl Timing {
     /// Recomputes everything from scratch — required after structural edits
     /// (level-converter insertion/removal) which invalidate the cached
     /// topological order — and rebuilds the flat topological index that
-    /// its own sweep and [`Timing::retarget`] read.
+    /// its own passes, [`Timing::retarget`] and [`Timing::lower_sweep`]
+    /// read.
     pub fn rebuild(&mut self, net: &Network, lib: &Library) {
         debug_assert!(self.trial.is_none(), "rebuild with a trial open");
         let n = net.node_count();
-        let index = TopoIndex::new(net);
-        let live = index.order.len();
-        self.topo_pos = vec![0; n];
-        for (pos, &id) in index.order.iter().enumerate() {
-            self.topo_pos[id.index()] = pos as u32;
-        }
+        self.index = None;
+        let index = self.take_index(net);
         self.arrival = vec![0.0; n];
         self.required = vec![f64::INFINITY; n];
         self.delay = vec![0.0; n];
         self.load = vec![0.0; n];
         for &id in &index.order {
-            self.load[id.index()] = load_pf(net, lib, id);
-            self.delay[id.index()] = gate_delay(net, lib, id, self.load[id.index()]);
+            self.rederive(net, lib, id);
         }
-        // every position is a seed, so the cone walk times every node
-        self.queued = vec![true; live];
-        self.queued.resize(n, false);
-        self.sweep(&index, 0);
+        self.queued = vec![false; n];
+        self.forward_pass(&index);
+        self.backward_pass(&index);
         self.index = Some(index);
     }
 
-    /// Re-anchors the analysis at a new constraint `tspec_ns` after gate
-    /// attribute edits, without a full [`Timing::analyze`].
-    ///
-    /// Load and delay of every gate in `changed` and of its fanins are
-    /// re-derived unconditionally (the incremental updates leave a value
-    /// alone when it moves by 1e-12 ns or less, so these may be slightly
-    /// stale); every other cached load and delay is reused. Arrival times
-    /// do not depend on the constraint, so only the fanout cone of those
-    /// re-derived nodes is re-timed: a walk of the topological order from
-    /// the cone's first position that visits cone nodes alone. The whole
-    /// cone is recomputed, since a stale value can sit behind a node whose
-    /// bits did not change; everything outside it has unchanged inputs.
-    /// The new constraint moves every required time, so one backward pass
-    /// over the flat topological index built by [`Timing::rebuild`]
-    /// re-derives them all. The cost is the cone plus one streaming pass
-    /// over the network.
+    /// Re-anchors the analysis at a new constraint `tspec_ns` without a
+    /// full [`Timing::analyze`]: one backward pass over the flat
+    /// topological index re-derives every required time. Arrivals, loads
+    /// and delays do not depend on the constraint, and incremental updates
+    /// keep them exact, so nothing else is recomputed.
     ///
     /// # Exactness
     ///
     /// The result is bit-identical to `Timing::analyze(net, lib, tspec_ns)`
-    /// provided that, since the last [`Timing::analyze`] /
-    /// [`Timing::rebuild`] / `retarget`:
-    ///
-    /// * the network saw no structural edit (no converter insertion or
-    ///   removal — those need [`Timing::rebuild`]), and
-    /// * every gate whose size or rail differs from that analysis is in
-    ///   `changed`. A gate whose trial [`Timing::undo_trial`] took back may
-    ///   be left out, since the undo restores every value the trial
-    ///   overwrote, bit for bit; so may a gate edited and restored again,
-    ///   each time through [`Timing::apply_gate_change`], since the
-    ///   restoring update recomputes every value it moved from the original
-    ///   inputs.
+    /// provided the network saw no structural edit (no converter insertion
+    /// or removal) since the last [`Timing::analyze`] / [`Timing::rebuild`].
     ///
     /// # Panics
     ///
     /// If a converter was inserted or removed since the last
     /// [`Timing::analyze`] / [`Timing::rebuild`].
-    pub fn retarget(&mut self, net: &Network, lib: &Library, tspec_ns: f64, changed: &[NodeId]) {
+    pub fn retarget(&mut self, tspec_ns: f64) {
         debug_assert!(self.trial.is_none(), "retarget with a trial open");
         let index = self.index.take().expect(
             "Timing::retarget after a converter insertion or removal: call Timing::rebuild first",
         );
         self.tspec_ns = tspec_ns;
-        let mut first = usize::MAX;
-        for &g in changed {
-            for id in std::iter::once(g).chain(net.fanins(g).iter().copied()) {
-                self.rederive(net, lib, id);
-                let pos = self.topo_pos[id.index()] as usize;
-                self.queued[pos] = true;
-                first = first.min(pos);
+        self.backward_pass(&index);
+        self.index = Some(index);
+    }
+
+    /// Runs one clustered-voltage-scaling pass as a single reverse sweep:
+    /// walks the live nodes in reverse topological order, sets each node's
+    /// required time from its fanouts, asks `lower(net, timing, node)`
+    /// whether the node goes to the low rail and, if so, moves it there and
+    /// re-derives its delay before any of its fanins is visited. One
+    /// forward pass of arrivals follows. Returns the STA events: one per
+    /// required time and one per arrival evaluated, plus one per delay
+    /// re-derived, recorded as one `sta.events_per_change` sample and one
+    /// `sta.events` attribution to the network's name.
+    ///
+    /// When `lower` sees a node, every fanout is settled (its required time
+    /// and, if it went low, its delay are final), while the node's own
+    /// arrival, delay and load are still those of the entry state — which
+    /// are exact for it, because nothing upstream of it has changed and a
+    /// demotion moves no input capacitance, so no load changes. A decision
+    /// that reads only these values (such as `dvs-core`'s `demotion_fits`)
+    /// is therefore the one an incremental re-timing after every demotion
+    /// would take, and the result equals a fresh [`Timing::analyze`] of the
+    /// lowered network bit for bit.
+    ///
+    /// If a converter was inserted or removed since the last
+    /// [`Timing::rebuild`], the network is re-indexed first.
+    pub fn lower_sweep<F>(&mut self, net: &mut Network, lib: &Library, mut lower: F) -> usize
+    where
+        F: FnMut(&Network, &Timing, NodeId) -> bool,
+    {
+        debug_assert!(self.trial.is_none(), "lower_sweep with a trial open");
+        let index = self.take_index(net);
+        let mut lowered = 0;
+        for pos in (0..index.order.len()).rev() {
+            let id = index.order[pos];
+            self.required[id.index()] =
+                self.required_via_fanouts(index.anchored[pos], index.fanouts(pos));
+            if lower(net, self, id) {
+                net.set_rail(id, Rail::Low);
+                debug_assert!(
+                    std::iter::once(&id)
+                        .chain(index.fanins(pos))
+                        .all(|f| load_pf(net, lib, *f).to_bits() == self.load[f.index()].to_bits()),
+                    "a demotion moved a load"
+                );
+                self.delay[id.index()] = gate_delay(net, lib, id, self.load[id.index()]);
+                lowered += 1;
             }
         }
-        self.sweep(&index, first);
+        self.forward_pass(&index);
+        let events = 2 * index.order.len() + lowered;
         self.index = Some(index);
+        dvs_obs::hist_record("sta.events_per_change", events as u64);
+        dvs_obs::attr_add("sta.events", || net.name(), events as u64);
+        events
+    }
+
+    /// Takes the flat topological index, re-indexing the network (every
+    /// node's position included) if a structural edit dropped it.
+    fn take_index(&mut self, net: &Network) -> TopoIndex {
+        if let Some(index) = self.index.take() {
+            return index;
+        }
+        let index = TopoIndex::new(net);
+        self.topo_pos = vec![0; net.node_count()];
+        for (pos, &id) in index.order.iter().enumerate() {
+            self.topo_pos[id.index()] = pos as u32;
+        }
+        index
     }
 
     /// Recomputes load and delay of `id` from the network.
@@ -234,21 +270,16 @@ impl Timing {
         self.delay[id.index()] = gate_delay(net, lib, id, self.load[id.index()]);
     }
 
-    /// Re-times arrivals at the positions flagged in `queued` and in their
-    /// fanout cones, walking the topological index from position `first`
-    /// (and leaving `queued` all false), then re-derives every required
-    /// time in one backward pass over the index.
-    fn sweep(&mut self, index: &TopoIndex, first: usize) {
-        for pos in first..index.order.len() {
-            if !std::mem::take(&mut self.queued[pos]) {
-                continue;
-            }
-            let id = index.order[pos];
+    /// Re-derives every arrival in one pass over the topological index.
+    fn forward_pass(&mut self, index: &TopoIndex) {
+        for (pos, &id) in index.order.iter().enumerate() {
             self.arrival[id.index()] = self.arrival_via(index.fanins(pos), id);
-            for &fo in index.fanouts(pos) {
-                self.queued[self.topo_pos[fo.index()] as usize] = true;
-            }
         }
+    }
+
+    /// Re-derives every required time in one backward pass over the
+    /// topological index.
+    fn backward_pass(&mut self, index: &TopoIndex) {
         for pos in (0..index.order.len()).rev() {
             let req = self.required_via_fanouts(index.anchored[pos], index.fanouts(pos));
             self.required[index.order[pos].index()] = req;
@@ -396,7 +427,7 @@ impl Timing {
     }
 
     /// Opens a trial of an edit to `changed`: the forward half of
-    /// [`Timing::apply_gate_change`], under the same tolerance. Load and
+    /// [`Timing::apply_gate_change`]. Load and
     /// delay of `changed` and its fanins are re-derived and arrivals
     /// propagated downstream; required times are left alone, so until the
     /// trial is closed they (and slacks) describe the network before the
@@ -446,8 +477,8 @@ impl Timing {
     }
 
     /// The forward half of a gate change: re-derives load and delay of
-    /// `changed` and its fanins, keeping a value that moves by `EPS` or
-    /// less, and propagates arrivals from the moved nodes, logging every
+    /// `changed` and its fanins, and propagates arrivals from the nodes
+    /// where either moved by any bit, logging every
     /// overwritten value in `trial_log` when `log` is set. Returns the
     /// number of node recomputations and the moved nodes.
     fn change_forward(
@@ -463,7 +494,7 @@ impl Timing {
             let new_load = load_pf(net, lib, id);
             let new_delay = gate_delay(net, lib, id, new_load);
             let (load, delay) = (self.load[id.index()], self.delay[id.index()]);
-            if (new_delay - delay).abs() > EPS || (new_load - load).abs() > EPS {
+            if differs(new_delay, delay) || differs(new_load, load) {
                 if log {
                     self.trial_log.push(Saved::Gate(id, load, delay));
                 }
@@ -600,7 +631,7 @@ impl Timing {
             events += 1;
             let fresh = self.compute_arrival(net, id);
             let old = self.arrival[id.index()];
-            if (fresh - old).abs() > EPS {
+            if differs(fresh, old) {
                 if log {
                     self.trial_log.push(Saved::Arrival(id, old));
                 }
@@ -632,7 +663,7 @@ impl Timing {
             queued[id.index()] = false;
             events += 1;
             let fresh = self.compute_required(net, id);
-            if (fresh - self.required[id.index()]).abs() > EPS {
+            if differs(fresh, self.required[id.index()]) {
                 self.required[id.index()] = fresh;
                 for &fi in net.fanins(id) {
                     if !queued[fi.index()] {
@@ -646,6 +677,13 @@ impl Timing {
         self.queued = queued;
         events
     }
+}
+
+/// Whether a recomputed value differs from the cached one in any bit: the
+/// propagations stop only where nothing moved, which keeps incremental
+/// timing bit-identical to a fresh analysis.
+fn differs(fresh: f64, cached: f64) -> bool {
+    fresh.to_bits() != cached.to_bits()
 }
 
 fn gate_delay(net: &Network, lib: &Library, id: NodeId, load: f64) -> f64 {
@@ -949,54 +987,12 @@ mod tests {
     }
 
     #[test]
-    fn retarget_repairs_sub_epsilon_moves() {
-        use dvs_celllib::{Cell, GateFn, LibraryBuilder, SizeVariant};
-        // d1 differs from d0 by less than the incremental tolerance in both
-        // input capacitance and delay, so `apply_gate_change` leaves the
-        // edited gate and its fanin with stale values
-        let d0 = SizeVariant {
-            name: "d0".into(),
-            area: 1.0,
-            input_cap_pf: 0.01,
-            intrinsic_ns: 0.1,
-            drive_res_ns_per_pf: 3.0,
-            internal_cap_pf: 0.005,
-            leakage_nw: 1.0,
-        };
-        let d1 = SizeVariant {
-            name: "d1".into(),
-            input_cap_pf: 0.01 + 1e-13,
-            intrinsic_ns: 0.1 - 1e-13,
-            ..d0.clone()
-        };
-        let lib = LibraryBuilder::new("tiny")
-            .cell(Cell::new("INV", GateFn::Inv, vec![d0.clone(), d1]))
-            .converter_cell(vec![d0])
-            .build()
-            .unwrap();
-        let inv = lib.find("INV").unwrap();
-        let mut net = Network::new("sub-eps");
-        let a = net.add_input("a");
-        let g1 = net.add_gate("g1", inv, &[a]);
-        let g2 = net.add_gate("g2", inv, &[g1]);
-        net.add_output("y", g2);
-        let mut t = Timing::analyze(&net, &lib, 1.0);
-        net.set_size(g2, SizeIx(1));
-        t.apply_gate_change(&net, &lib, g2);
-        let fresh = Timing::analyze(&net, &lib, 2.0);
-        assert_ne!(t.load_pf(g1).to_bits(), fresh.load_pf(g1).to_bits());
-        assert_ne!(t.delay_ns(g2).to_bits(), fresh.delay_ns(g2).to_bits());
-        t.retarget(&net, &lib, 2.0, &[g2]);
-        assert_bits_match_fresh(&t, &net, &lib);
-    }
-
-    #[test]
     fn retarget_without_edits_equals_analyze_at_the_new_constraint() {
         let lib = lib();
         let (net, _) = chain(&lib, 5);
         let mut t = Timing::analyze(&net, &lib, 0.0);
         let tmin = t.critical_delay_ns(&net);
-        t.retarget(&net, &lib, tmin, &[]);
+        t.retarget(tmin);
         assert_eq!(t.tspec_ns(), tmin);
         assert_bits_match_fresh(&t, &net, &lib);
     }
@@ -1025,7 +1021,7 @@ mod tests {
         let (mut net, gates) = chain(&lib, 3);
         let mut t = Timing::analyze(&net, &lib, 100.0);
         chain_with_converter(&lib, &mut t, &mut net, &gates);
-        t.retarget(&net, &lib, 50.0, &[]);
+        t.retarget(50.0);
     }
 
     #[test]
@@ -1037,14 +1033,14 @@ mod tests {
         t.rebuild(&net, &lib);
         net.set_size(gates[2], SizeIx(1));
         t.apply_gate_change(&net, &lib, gates[2]);
-        t.retarget(&net, &lib, 50.0, &[gates[2]]);
+        t.retarget(50.0);
         assert_bits_match_fresh(&t, &net, &lib);
         net.remove_converter(conv).unwrap();
         t.apply_converter_removal(&net, &lib, conv, gates[0]);
         t.rebuild(&net, &lib);
         net.set_size(gates[1], SizeIx(1));
         t.apply_gate_change(&net, &lib, gates[1]);
-        t.retarget(&net, &lib, 20.0, &[gates[1]]);
+        t.retarget(20.0);
         assert_bits_match_fresh(&t, &net, &lib);
     }
 

@@ -202,8 +202,8 @@ fn assert_same_bits(a: &Timing, b: &Timing, net: &Network) -> Result<(), TestCas
 /// each checked against `apply_gate_change` on a clone: while the trial is
 /// open its arrivals equal the direct update's, a kept trial leaves the
 /// direct update's bits and an undone one the bits from before the trial.
-/// Kept trials over [`cone_lib`] leave sub-tolerance stale values, which an
-/// undo must restore as they were.
+/// Over [`cone_lib`], kept trials move values in their last bits only,
+/// which both updates must carry and an undo must restore.
 fn trials_match_direct_updates(
     net: &mut Network,
     lib: &Library,
@@ -242,9 +242,9 @@ fn trials_match_direct_updates(
 }
 
 /// A library whose first size step moves input capacitance and intrinsic
-/// delay by less than the incremental tolerance, so a kept step there
-/// leaves stale values behind for the re-anchor to repair; the second step
-/// is a real up-sizing.
+/// delay by 1e-13 only, so a step there moves loads, delays and arrivals in
+/// their last bits, which exact incremental timing must still propagate;
+/// the second step is a real up-sizing.
 fn cone_lib() -> Library {
     let d0 = SizeVariant {
         name: "d0".into(),
@@ -285,10 +285,10 @@ fn cone_lib() -> Library {
         .unwrap()
 }
 
-/// Random network over [`cone_lib`] with the shapes the re-anchor's cone
-/// walk must handle: sinks wired twice to one driver, gates fed by primary
-/// inputs alone, gates that drive nothing (neither a fanout nor a primary
-/// output), and twin gates joined by one sink, whose arrivals tie.
+/// Random network over [`cone_lib`] with the shapes incremental timing and
+/// the re-anchor must handle: sinks wired twice to one driver, gates fed by
+/// primary inputs alone, gates that drive nothing (neither a fanout nor a
+/// primary output), and twin gates joined by one sink, whose arrivals tie.
 fn cone_network_strategy() -> impl Strategy<Value = Network> {
     (
         2usize..5,
@@ -341,9 +341,9 @@ fn cone_network_strategy() -> impl Strategy<Value = Network> {
 }
 
 /// Runs `ops` as trials on gates picked from `pool`, taking rejected ones
-/// back as `undo` says and re-anchoring after each one (kept gates listed
-/// in `changed`) at its constraint, or at the current critical delay when
-/// it gives none, and checks every re-anchor against a fresh analysis.
+/// back as `undo` says and re-anchoring after each one at its constraint,
+/// or at the current critical delay when it gives none, and checks every
+/// re-anchor against a fresh analysis.
 fn retarget_after_trials(
     net: &mut Network,
     lib: &Library,
@@ -355,9 +355,8 @@ fn retarget_after_trials(
     for &(pick, rail, keep, tspec) in ops {
         let g = pool[pick as usize % pool.len()];
         trial(net, lib, &mut t, g, rail, keep, undo);
-        let changed: &[NodeId] = if keep { &[g] } else { &[] };
         let tspec = tspec.unwrap_or_else(|| t.critical_delay_ns(net));
-        t.retarget(net, lib, tspec, changed);
+        t.retarget(tspec);
         assert_bits_match_fresh(&t, net, lib)?;
     }
     Ok(())
@@ -376,13 +375,101 @@ fn ops_strategy(
     )
 }
 
+/// Asserts every value of `t` equals a fresh analysis at `t`'s constraint
+/// bit for bit on every node slot, tombstoned converters included.
+fn assert_every_slot_matches_fresh(
+    t: &Timing,
+    net: &Network,
+    lib: &Library,
+) -> Result<(), TestCaseError> {
+    let fresh = Timing::analyze(net, lib, t.tspec_ns());
+    for ix in 0..net.node_count() {
+        let id = NodeId::from_index(ix);
+        let bits = |t: &Timing| {
+            [
+                t.arrival_ns(id).to_bits(),
+                t.required_ns(id).to_bits(),
+                t.load_pf(id).to_bits(),
+                t.delay_ns(id).to_bits(),
+            ]
+        };
+        prop_assert_eq!(bits(t), bits(&fresh), "node {}", id);
+    }
+    Ok(())
+}
+
+/// Runs `ops` `(pick, kind)` against one incrementally maintained
+/// [`Timing`] and checks every slot against a fresh analysis after each
+/// one. The kinds are: a gate edit through `apply_gate_change`, a kept and
+/// an undone logged trial, a converter spliced over a gate's sinks (and,
+/// for odd picks, its outputs), the removal of the newest converter, a
+/// re-anchor (after a `rebuild` when a converter edit dropped the index)
+/// and a `lower_sweep` that lowers the gates an arbitrary rule picks.
+fn mixed_edits_stay_exact(
+    net: &mut Network,
+    lib: &Library,
+    ops: &[(u32, u8)],
+) -> Result<(), TestCaseError> {
+    let gates: Vec<NodeId> = net.gate_ids().collect();
+    prop_assume!(!gates.is_empty());
+    let mut t = Timing::analyze(net, lib, 8.0);
+    let mut converters: Vec<(NodeId, NodeId)> = Vec::new();
+    let mut indexed = true;
+    for &(pick, kind) in ops {
+        let g = gates[pick as usize % gates.len()];
+        let rail = pick % 3 == 0;
+        match kind {
+            0 => {
+                edit_gate(net, lib, g, rail);
+                t.apply_gate_change(net, lib, g);
+            }
+            1 | 2 => trial(net, lib, &mut t, g, rail, kind == 1, Undo::Log),
+            3 => {
+                let mut sinks = net.fanouts(g).to_vec();
+                sinks.sort_unstable();
+                sinks.dedup();
+                let cover = pick % 2 == 1;
+                if let Ok(conv) = net.insert_converter(g, &sinks, cover, lib.converter()) {
+                    t.apply_converter_insertion(net, lib, conv);
+                    converters.push((conv, g));
+                    indexed = false;
+                }
+            }
+            4 => {
+                if let Some((conv, driver)) = converters.pop() {
+                    net.remove_converter(conv).expect("a live converter");
+                    t.apply_converter_removal(net, lib, conv, driver);
+                    indexed = false;
+                }
+            }
+            5 => {
+                if !indexed {
+                    t.rebuild(net, lib);
+                    indexed = true;
+                }
+                t.retarget(0.5 + f64::from(pick % 97) * 0.125);
+            }
+            _ => {
+                t.lower_sweep(net, lib, |net, _, id| {
+                    net.node(id).is_gate()
+                        && !net.node(id).is_converter()
+                        && (id.index() as u32).wrapping_mul(pick) % 5 < 2
+                });
+                indexed = true;
+            }
+        }
+        assert_every_slot_matches_fresh(&t, net, lib)?;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The TILOS loop's usage pattern: gate edits absorbed incrementally,
     /// some kept and some undone again (each undo through its own
-    /// incremental update), then a re-anchor at a new constraint naming
-    /// only the kept gates — which must equal a fresh analysis exactly.
+    /// incremental update), then a re-anchor at a new constraint — which
+    /// must equal a fresh analysis exactly.
     #[test]
     fn retarget_is_bit_identical_to_analyze(
         net in network_strategy(),
@@ -396,22 +483,17 @@ proptest! {
         let gates: Vec<NodeId> = net.gate_ids().collect();
         prop_assume!(!gates.is_empty());
         let mut t = Timing::analyze(&net, &lib, 8.0);
-        let mut changed = Vec::new();
         for (pick, rail, mode, tspec) in ops {
             let g = gates[pick as usize % gates.len()];
             // mode 0 is a rejected trial
             trial(&mut net, &lib, &mut t, g, rail, mode != 0, Undo::Reapply);
-            if mode != 0 {
-                changed.push(g);
-            }
             // re-anchor after most edits; let some edits accumulate
             if mode != 3 {
-                t.retarget(&net, &lib, tspec, &changed);
-                changed.clear();
+                t.retarget(tspec);
                 assert_bits_match_fresh(&t, &net, &lib)?;
             }
         }
-        t.retarget(&net, &lib, 5.0, &changed);
+        t.retarget(5.0);
         assert_bits_match_fresh(&t, &net, &lib)?;
     }
 
@@ -473,8 +555,7 @@ proptest! {
     }
 
     /// Several kept gates, each followed by one of its fanouts so their
-    /// cones overlap, re-anchored at once with some gates listed twice
-    /// (and some edited twice).
+    /// cones overlap, re-anchored at once, some gates edited twice.
     #[test]
     fn retarget_merges_overlapping_cones_and_repeated_gates(
         net in cone_network_strategy(),
@@ -485,25 +566,17 @@ proptest! {
         let mut net = net;
         let gates: Vec<NodeId> = net.gate_ids().collect();
         let mut t = Timing::analyze(&net, &lib, 8.0);
-        let mut changed = Vec::new();
         for (pick, rail, repeat) in picks {
             let g = gates[pick as usize % gates.len()];
             trial(&mut net, &lib, &mut t, g, rail, true, Undo::Reapply);
-            changed.push(g);
             if let Some(&fo) = net.fanouts(g).first() {
                 trial(&mut net, &lib, &mut t, fo, !rail, true, Undo::Reapply);
-                changed.push(fo);
             }
-            match repeat {
-                0 => changed.push(g),
-                1 => {
-                    trial(&mut net, &lib, &mut t, g, rail, true, Undo::Reapply);
-                    changed.push(g);
-                }
-                _ => {}
+            if repeat == 0 {
+                trial(&mut net, &lib, &mut t, g, rail, true, Undo::Reapply);
             }
         }
-        t.retarget(&net, &lib, tspec, &changed);
+        t.retarget(tspec);
         assert_bits_match_fresh(&t, &net, &lib)?;
     }
 
@@ -522,7 +595,7 @@ proptest! {
             let g = gates[pick as usize % gates.len()];
             trial(&mut net, &lib, &mut t, g, rail, false, Undo::Reapply);
             let arrivals: Vec<u64> = net.node_ids().map(|id| t.arrival_ns(id).to_bits()).collect();
-            t.retarget(&net, &lib, tspec, &[]);
+            t.retarget(tspec);
             let after: Vec<u64> = net.node_ids().map(|id| t.arrival_ns(id).to_bits()).collect();
             prop_assert_eq!(arrivals, after);
             assert_bits_match_fresh(&t, &net, &lib)?;
@@ -554,8 +627,8 @@ proptest! {
         trials_match_direct_updates(&mut net, &lib(), &ops)?;
     }
 
-    /// The same over [`cone_lib`], whose kept steps leave sub-tolerance
-    /// stale values behind for undone trials to restore unchanged.
+    /// The same over [`cone_lib`], whose kept steps move values in their
+    /// last bits only.
     #[test]
     fn trial_matches_apply_gate_change_and_undo_restores_stale_bits(
         net in cone_network_strategy(),
@@ -566,7 +639,7 @@ proptest! {
     }
 
     /// TILOS's own pattern: rejected trials taken back through the log,
-    /// then re-anchors naming only the kept gates.
+    /// each followed by a re-anchor.
     #[test]
     fn retarget_after_undone_trials_over_the_real_library(
         net in network_strategy(),
@@ -587,6 +660,30 @@ proptest! {
         let mut net = net;
         let gates: Vec<NodeId> = net.gate_ids().collect();
         retarget_after_trials(&mut net, &cone_lib(), &gates, &ops, Undo::Log)?;
+    }
+
+    /// Incremental timing equals a fresh analysis bit for bit after every
+    /// step of a random mix of gate edits, kept and undone trials,
+    /// converter insertions and removals, re-anchors and lowering sweeps,
+    /// over the real library.
+    #[test]
+    fn exact_after_mixed_edits_over_the_real_library(
+        net in network_strategy(),
+        ops in proptest::collection::vec((any::<u32>(), 0u8..7), 1..40),
+    ) {
+        let mut net = net;
+        mixed_edits_stay_exact(&mut net, &lib(), &ops)?;
+    }
+
+    /// The same over [`cone_lib`], whose size steps move values in their
+    /// last bits only.
+    #[test]
+    fn exact_after_mixed_edits_over_the_cone_library(
+        net in cone_network_strategy(),
+        ops in proptest::collection::vec((any::<u32>(), 0u8..7), 1..40),
+    ) {
+        let mut net = net;
+        mixed_edits_stay_exact(&mut net, &cone_lib(), &ops)?;
     }
 
     #[test]

@@ -120,18 +120,27 @@
 //! `(domain, site, value)` triples through [`dvs_obs::attr_add`]; the
 //! scenario's rollup window aggregates them per site. Current domains:
 //!
-//! | domain                  | site                | value              |
-//! |-------------------------|---------------------|--------------------|
-//! | `dscale.power_saved_nw` | demoted gate        | gain, nanowatts    |
-//! | `sta.events`            | edited gate/driver  | STA worklist events|
-//! | `session.edits`         | edited gate/driver  | 1 per edit         |
-//! | `flow.augmenting_paths` | `{gate}+{n}` cut id | augmenting paths   |
-//! | `power.cone_nodes`      | circuit name        | re-simulated nodes |
+//! | domain                  | site                                    | value               |
+//! |-------------------------|-----------------------------------------|---------------------|
+//! | `dscale.power_saved_nw` | demoted gate                            | gain, nanowatts     |
+//! | `sta.events`            | edited gate/driver; circuit (CVS sweep) | STA worklist events |
+//! | `session.edits`         | edited gate/driver                      | 1 per edit          |
+//! | `flow.augmenting_paths` | `{gate}+{n}` cut id                     | augmenting paths    |
+//! | `power.cone_nodes`      | circuit name                            | re-simulated nodes  |
 //!
 //! `sta.events` and the `sta.events_per_change` histogram cover the edits
 //! the flow applies; preparation's size trials record neither, and TILOS
 //! sizing records each pass's trial count in the `synth.tilos_trials`
-//! histogram instead.
+//! histogram instead. A gate edit or converter splice records one sample
+//! and one attribution of its worklist events, charged to the edited gate
+//! or driver. A CVS pass is one reverse sweep and records as one change:
+//! one sample and one attribution, charged to the circuit's name, of its
+//! node re-timings — a required time and an arrival per live node and a
+//! delay per demoted gate. Its demotions still record one `session.edits`
+//! each. So per scenario the `sta_events` of the three `sta` objects, the
+//! `sta.events_per_change` sum and the `sta.events` sum are one number,
+//! and the `session.edits` sum equals the phases' edit counters; the
+//! `record_agreement` test checks both.
 //!
 //! Every attribution value is an **integer** (power pre-scaled to
 //! nanowatts and rounded at the recording site), so unlike the `*_ns`

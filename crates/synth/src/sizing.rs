@@ -47,26 +47,25 @@ pub struct Prepared {
 /// arrivals downstream of the step (the keep/reject decision reads nothing
 /// else), a kept step runs the backward pass of required times with
 /// [`Timing::keep_trial`] and a rejected one is restored bit for bit with
-/// [`Timing::undo_trial`]. Each new pass re-anchors it with
-/// [`Timing::retarget`], whose result is bit-identical to a fresh analysis
-/// at the new anchor. Besides its trials, a pass costs the re-timing of the
-/// kept steps' fanout cones, one backward pass over the network's flat
-/// topological index, two linear slack scans and sorts of the frontier and
-/// of the (usually empty) late arrivals, and it makes the same trials in
-/// the same order as re-analysing and sorting every gate would. Each pass
+/// [`Timing::undo_trial`]. Incremental timing is exact, so each new pass
+/// re-anchors it with [`Timing::retarget`] alone: one backward pass of
+/// required times over the network's flat topological index, bit-identical
+/// to a fresh analysis at the new anchor. Besides its trials, a pass costs
+/// that backward pass and two linear slack scans and sorts of the frontier
+/// and of the (usually empty) late arrivals, and it makes the same trials
+/// in the same order as re-analysing and sorting every gate would. Each pass
 /// records its number of trials in the `synth.tilos_trials` histogram;
 /// trials record no STA events.
 pub fn size_for_min_delay(net: &mut Network, lib: &Library) -> f64 {
     let mut timing = Timing::analyze(net, lib, 0.0);
     let mut best = timing.critical_delay_ns(net);
-    timing.retarget(net, lib, best, &[]);
+    timing.retarget(best);
     // per-pass buffers, reused across passes
     let mut entry_slack = vec![0.0; net.node_count()];
     let mut order: Vec<NodeId> = Vec::new();
-    let mut kept: Vec<NodeId> = Vec::new();
     loop {
         order.clear();
-        kept.clear();
+        let mut kept = false;
         let mut trials = 0;
         for g in net.gate_ids() {
             let slack = timing.slack_ns(g);
@@ -79,11 +78,9 @@ pub fn size_for_min_delay(net: &mut Network, lib: &Library) -> f64 {
         // frontier's stretch of the entry order of all gates
         order.sort_unstable_by(|&a, &b| entry_order(&entry_slack, a, b));
         for &g in &order {
-            if try_upsize(net, lib, &mut timing, g, &mut best, &mut trials) {
-                kept.push(g);
-            }
+            kept |= try_upsize(net, lib, &mut timing, g, &mut best, &mut trials);
         }
-        if kept.is_empty() {
+        if !kept {
             dvs_obs::hist_record("synth.tilos_trials", trials);
             return best;
         }
@@ -107,11 +104,10 @@ pub fn size_for_min_delay(net: &mut Network, lib: &Library) -> f64 {
             else {
                 break;
             };
-            kept.push(order[k]);
             last = Some(order[k]);
         }
         dvs_obs::hist_record("synth.tilos_trials", trials);
-        timing.retarget(net, lib, best, &kept);
+        timing.retarget(best);
     }
 }
 
