@@ -58,7 +58,48 @@ impl GateFn {
         }
     }
 
-    /// Evaluates the function on 64 parallel input vectors.
+    /// Evaluates the function over whole waveform rows: `pin(i)` is the
+    /// row of input pin `i`, word `w` of which carries simulation vectors
+    /// `64·w ..= 64·w + 63`, and `out` receives the output row. Every pin
+    /// row must be at least `out.len()` words long.
+    ///
+    /// The kernel runs one logic operation at a time over the whole row,
+    /// the word loop innermost: `And`/`Nand` fold the pin rows into `out`
+    /// with `&=`, `Or`/`Nor` with `|=`, `Xor`/`Xnor` combine element-wise,
+    /// and `Aoi`/`Oai` fold each group into a scratch block that is then
+    /// merged into `out`. [`GateFn::eval_words`] is its one-word case.
+    #[inline]
+    pub fn eval_rows<'a>(self, pin: impl Fn(usize) -> &'a [u64], out: &mut [u64]) {
+        match self {
+            GateFn::Buf => out.copy_from_slice(&pin(0)[..out.len()]),
+            GateFn::Inv => zip_into(out, pin(0), |_, x| !x),
+            GateFn::And(n) => fold_into(out, 0..n as usize, &pin, true),
+            GateFn::Nand(n) => {
+                fold_into(out, 0..n as usize, &pin, true);
+                invert(out);
+            }
+            GateFn::Or(n) => fold_into(out, 0..n as usize, &pin, false),
+            GateFn::Nor(n) => {
+                fold_into(out, 0..n as usize, &pin, false);
+                invert(out);
+            }
+            GateFn::Xor => {
+                out.copy_from_slice(&pin(0)[..out.len()]);
+                zip_into(out, pin(1), |o, x| o ^ x);
+            }
+            GateFn::Xnor => {
+                out.copy_from_slice(&pin(0)[..out.len()]);
+                zip_into(out, pin(1), |o, x| !(o ^ x));
+            }
+            // !(g0 + g1 + …) with each g an AND of its group's pins
+            GateFn::Aoi(groups) => fold_groups(out, groups, &pin, true),
+            // !(g0 · g1 · …) with each g an OR of its group's pins
+            GateFn::Oai(groups) => fold_groups(out, groups, &pin, false),
+        }
+    }
+
+    /// Evaluates the function on 64 parallel input vectors: the one-word
+    /// case of [`GateFn::eval_rows`].
     ///
     /// `inputs[i]` carries bit `b` of simulation vector `b` for pin `i`.
     ///
@@ -69,48 +110,80 @@ impl GateFn {
     #[inline]
     pub fn eval_words(self, inputs: &[u64]) -> u64 {
         debug_assert_eq!(inputs.len(), self.arity(), "wrong pin count for {self}");
-        match self {
-            GateFn::Buf => inputs[0],
-            GateFn::Inv => !inputs[0],
-            GateFn::And(_) => inputs.iter().fold(!0u64, |acc, &w| acc & w),
-            GateFn::Nand(_) => !inputs.iter().fold(!0u64, |acc, &w| acc & w),
-            GateFn::Or(_) => inputs.iter().fold(0u64, |acc, &w| acc | w),
-            GateFn::Nor(_) => !inputs.iter().fold(0u64, |acc, &w| acc | w),
-            GateFn::Xor => inputs[0] ^ inputs[1],
-            GateFn::Xnor => !(inputs[0] ^ inputs[1]),
-            GateFn::Aoi(groups) => {
-                let mut or = 0u64;
-                let mut at = 0usize;
-                for &g in groups.iter().filter(|&&g| g > 0) {
-                    let mut and = !0u64;
-                    for w in &inputs[at..at + g as usize] {
-                        and &= w;
-                    }
-                    or |= and;
-                    at += g as usize;
-                }
-                !or
-            }
-            GateFn::Oai(groups) => {
-                let mut and = !0u64;
-                let mut at = 0usize;
-                for &g in groups.iter().filter(|&&g| g > 0) {
-                    let mut or = 0u64;
-                    for w in &inputs[at..at + g as usize] {
-                        or |= w;
-                    }
-                    and &= or;
-                    at += g as usize;
-                }
-                !and
-            }
-        }
+        let mut out = [0u64];
+        self.eval_rows(|i| std::slice::from_ref(&inputs[i]), &mut out);
+        out[0]
     }
 
     /// Scalar convenience wrapper around [`GateFn::eval_words`].
     pub fn eval_bool(self, inputs: &[bool]) -> bool {
         let words: Vec<u64> = inputs.iter().map(|&b| if b { 1 } else { 0 }).collect();
         self.eval_words(&words) & 1 == 1
+    }
+}
+
+/// Words per scratch block of the `Aoi`/`Oai` kernel: one block covers a
+/// 4096-vector waveform row.
+const BLOCK: usize = 64;
+
+/// `out[w] = f(out[w], row[w])` for every word of `out`.
+#[inline]
+fn zip_into(out: &mut [u64], row: &[u64], f: impl Fn(u64, u64) -> u64) {
+    let row = &row[..out.len()];
+    for (o, &x) in out.iter_mut().zip(row) {
+        *o = f(*o, x);
+    }
+}
+
+#[inline]
+fn invert(out: &mut [u64]) {
+    for o in out.iter_mut() {
+        *o = !*o;
+    }
+}
+
+/// Folds the rows of `pins` into `out`: their AND when `and`, else their
+/// OR (the fold's identity when `pins` is empty).
+#[inline]
+fn fold_into<'a>(
+    out: &mut [u64],
+    pins: std::ops::Range<usize>,
+    pin: &impl Fn(usize) -> &'a [u64],
+    and: bool,
+) {
+    out.fill(if and { !0 } else { 0 });
+    for i in pins {
+        if and {
+            zip_into(out, pin(i), |o, x| o & x);
+        } else {
+            zip_into(out, pin(i), |o, x| o | x);
+        }
+    }
+}
+
+/// The AND-OR-INVERT (`aoi`) or OR-AND-INVERT kernel: each non-empty group
+/// of consecutive pins is folded into a scratch block (AND for AOI, OR for
+/// OAI), the blocks are merged into `out` with the other operation, and
+/// the result is inverted.
+#[inline]
+fn fold_groups<'a>(out: &mut [u64], groups: [u8; 4], pin: &impl Fn(usize) -> &'a [u64], aoi: bool) {
+    let mut scratch = [0u64; BLOCK];
+    for (b, chunk) in out.chunks_mut(BLOCK).enumerate() {
+        let lo = b * BLOCK;
+        let shifted = |i: usize| &pin(i)[lo..];
+        chunk.fill(if aoi { 0 } else { !0 });
+        let mut at = 0usize;
+        for &g in groups.iter().filter(|&&g| g > 0) {
+            let block = &mut scratch[..chunk.len()];
+            fold_into(block, at..at + g as usize, &shifted, aoi);
+            if aoi {
+                zip_into(chunk, block, |o, x| o | x);
+            } else {
+                zip_into(chunk, block, |o, x| o & x);
+            }
+            at += g as usize;
+        }
+        invert(chunk);
     }
 }
 

@@ -335,18 +335,20 @@ impl<'l> FlowSession<'l> {
     /// with one full analysis (counted in [`FlowCounters::full_analyses`] —
     /// a rollback is a phase boundary, not a hot loop, and the fresh
     /// analysis makes post-rollback timing bit-exact with a from-scratch
-    /// run).
+    /// run). The power cache is handed only the nodes the unwind rewired
+    /// (see [`Network::rollback_to`]): undone rail and size edits change no
+    /// waveform, so the rollback after a CVS pass re-simulates nothing.
     pub fn rollback(&mut self, cp: Checkpoint) {
-        let touched = self.net.rollback_to(cp);
+        let rewired = self.net.rollback_to(cp);
         self.timing = Timing::analyze(&self.net, self.lib, self.tspec_ns);
-        let nodes_touched = touched.len();
+        let nodes_rewired = rewired.len();
         if let Some(p) = self.power.as_mut() {
-            p.note(PowerDelta::Rollback { touched });
+            p.note(PowerDelta::Rollback { rewired });
         }
         self.counters.rollbacks += 1;
         self.counters.full_analyses += 1;
         dvs_obs::instant("session.rollback", || {
-            format!("[session] rollback touched {nodes_touched} nodes")
+            format!("[session] rollback rewired {nodes_rewired} nodes")
         });
     }
 
@@ -608,7 +610,7 @@ mod tests {
         let mine: Vec<_> = trace.instants.iter().filter(|i| i.tid == tid).collect();
         assert_eq!(mine.len(), 1);
         assert_eq!(mine[0].name, "session.rollback");
-        assert!(mine[0].text.contains("rollback touched"));
+        assert!(mine[0].text.contains("rollback rewired 0 nodes"));
         assert_eq!(sess.counters().rail_edits, 1);
         assert_eq!(sess.counters().rollbacks, 1);
     }

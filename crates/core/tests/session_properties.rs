@@ -12,7 +12,9 @@ mod oracle;
 use std::sync::Arc;
 
 use dvs_celllib::{compass, Library, VoltagePair};
-use dvs_core::{time_critical_boundary, CvsOutcome, FlowConfig, FlowCounters, FlowSession};
+use dvs_core::{
+    measure_power, time_critical_boundary, CvsOutcome, FlowConfig, FlowCounters, FlowSession,
+};
 use dvs_netlist::{Network, NodeId, Rail, SizeIx};
 use dvs_power::{estimate, simulate};
 use dvs_sta::Timing;
@@ -348,6 +350,38 @@ fn upsize_into_the_boundary(sess: &mut FlowSession<'_>, tcb: &[NodeId]) -> usize
         }
     }
     edits
+}
+
+/// The rollback that follows a CVS pass undoes rail edits alone, which
+/// change no waveform: the refresh behind the next power query
+/// re-evaluates no row, and the power it serves still equals a
+/// from-scratch simulation bit for bit.
+#[test]
+fn power_after_a_cvs_rollback_resimulates_nothing() {
+    let lib = lib();
+    let cfg = FlowConfig::default();
+    let profile = mcnc::find("C1355").expect("known profile");
+    let p = prepare(mcnc::generate_scaled(profile, &lib, 1, 0), &lib, 1.2);
+    let mut sess = FlowSession::new(p.network, &lib, p.tspec_ns);
+    sess.ensure_power(&cfg);
+    let base = sess.checkpoint();
+    let out = sess.run_cvs(cfg.guard_ns);
+    assert!(!out.lowered.is_empty(), "CVS lowers some gates");
+    let lowered_uw = sess.measure_power(&cfg);
+    sess.rollback(base);
+    let c0 = *sess.counters();
+    let uw = sess.measure_power(&cfg);
+    let delta = sess.counters().since(&c0);
+    assert_eq!(delta.power_resims, 1, "the rollback is absorbed");
+    assert_eq!(delta.par_tasks, 0, "rows re-evaluated by the refresh");
+    assert_eq!(delta.par_batches, 0, "refresh levels");
+    assert_eq!(delta.full_power, 0);
+    assert_eq!(
+        uw.to_bits(),
+        measure_power(sess.network(), &lib, &cfg).to_bits(),
+        "incremental power after the rollback vs from scratch"
+    );
+    assert!(uw > lowered_uw, "the rollback restores the high rail");
 }
 
 /// `run_circuit`'s sequence CVS → Dscale → rollback(base) → CVS must repeat

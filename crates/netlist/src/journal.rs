@@ -170,10 +170,13 @@ impl Network {
     /// slots appended since the checkpoint are truncated away, so
     /// [`Network::node_count`] also returns to its checkpointed value.
     ///
-    /// Returns the ids of the surviving nodes whose attributes or local
-    /// structure changed during the undo (sorted, deduplicated) — the seed
-    /// set an incremental timing update would need. Ids of truncated nodes
-    /// are not reported.
+    /// Returns the **rewired** surviving nodes (sorted, deduplicated): every
+    /// node whose fanin list the undo rewrote, plus every converter it
+    /// revived. A node's logic waveform depends only on its cell function
+    /// and its fanins, so this is the seed set of an incremental power
+    /// refresh. Rail and size undos are not reported (they move loads and
+    /// voltages, never logic), nor is the driver of an undone splice (its
+    /// fanouts change, its fanins do not), nor any truncated node.
     ///
     /// # Panics
     ///
@@ -191,16 +194,14 @@ impl Network {
             cp.outputs == self.outputs.len(),
             "primary outputs were added since the checkpoint (not journaled)"
         );
-        let mut touched = Vec::new();
+        let mut rewired = Vec::new();
         while journal.len() > cp.ops {
             match journal.pop().expect("journal length checked above") {
                 EditOp::SetRail { id, old } => {
                     self.nodes[id.index()].rail = old;
-                    touched.push(id);
                 }
                 EditOp::SetSize { id, old } => {
                     self.nodes[id.index()].size = old;
-                    touched.push(id);
                 }
                 EditOp::InsertConverter {
                     conv,
@@ -211,13 +212,12 @@ impl Network {
                 } => {
                     for (sink, fanins) in sink_fanins {
                         *self.fanins_mut(sink) = fanins;
-                        touched.push(sink);
+                        rewired.push(sink);
                     }
                     for ix in moved_outputs {
                         self.set_output_driver(ix, driver);
                     }
                     self.fanouts[driver.index()] = driver_fanouts;
-                    touched.push(driver);
                     // Tombstone the converter; the truncation pass below
                     // frees its (necessarily post-checkpoint) slot.
                     let cix = conv.index();
@@ -246,13 +246,12 @@ impl Network {
                     self.fanouts[driver.index()] = driver_fanouts;
                     for (sink, fanins) in sink_fanins {
                         *self.fanins_mut(sink) = fanins;
-                        touched.push(sink);
+                        rewired.push(sink);
                     }
                     for ix in moved_outputs {
                         self.set_output_driver(ix, conv);
                     }
-                    touched.push(conv);
-                    touched.push(driver);
+                    rewired.push(conv);
                 }
             }
         }
@@ -267,10 +266,10 @@ impl Network {
         self.fanouts.truncate(cp.nodes);
         self.po_sinks.truncate(cp.nodes);
         self.journal = Some(journal);
-        touched.sort_unstable();
-        touched.dedup();
-        touched.retain(|id| id.index() < cp.nodes && !self.nodes[id.index()].dead);
-        touched
+        rewired.sort_unstable();
+        rewired.dedup();
+        rewired.retain(|id| id.index() < cp.nodes && !self.nodes[id.index()].dead);
+        rewired
     }
 }
 
@@ -319,9 +318,9 @@ mod tests {
         net.set_size(s1, SizeIx(2));
         net.set_rail(drv, Rail::High); // and back again — still two deltas
         assert_eq!(net.journal_len(), 3);
-        let touched = net.rollback_to(cp);
+        let rewired = net.rollback_to(cp);
         assert_eq!(net.journal_len(), 0);
-        assert_eq!(touched, vec![drv, s1]);
+        assert!(rewired.is_empty(), "attribute undos rewire nothing");
         assert_nets_equal(&net, &reference);
     }
 
@@ -345,12 +344,10 @@ mod tests {
             .unwrap();
         assert!(net.node(conv).is_converter());
         assert!(net.drives_output(conv));
-        let touched = net.rollback_to(cp);
-        assert!(touched.contains(&drv) && touched.contains(&s1) && touched.contains(&s2));
-        assert!(
-            !touched.contains(&conv),
-            "truncated node reported as touched"
-        );
+        let rewired = net.rollback_to(cp);
+        // the sinks' fanins move back to the driver; the driver's own
+        // fanins never changed, and the converter is truncated away
+        assert_eq!(rewired, vec![s1, s2]);
         assert_nets_equal(&net, &reference);
     }
 
@@ -365,8 +362,10 @@ mod tests {
         let cp = net.checkpoint();
         net.remove_converter(conv).unwrap();
         assert!(net.node(conv).is_dead());
-        let touched = net.rollback_to(cp);
-        assert!(touched.contains(&conv) && touched.contains(&drv));
+        let rewired = net.rollback_to(cp);
+        // the converter is revived and its sinks re-adopt it; the driver
+        // only regains a fanout
+        assert_eq!(rewired, vec![s1, s2, conv]);
         assert_nets_equal(&net, &reference);
     }
 

@@ -52,6 +52,39 @@ fn check_output_counts(net: &Network) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Checks a rollback's returned set against the network `before` it:
+/// every reported node survives, and every surviving node whose fanin
+/// list the rollback changed, or that it revived, is reported.
+fn check_rewired(
+    before: &Network,
+    after: &Network,
+    rewired: &[NodeId],
+) -> Result<(), TestCaseError> {
+    for &id in rewired {
+        prop_assert!(
+            id.index() < after.node_count() && !after.node(id).is_dead(),
+            "reported node {} does not survive",
+            id
+        );
+    }
+    for id in after.node_ids() {
+        let revived = before.node(id).is_dead();
+        if revived || before.fanins(id) != after.fanins(id) {
+            prop_assert!(
+                rewired.contains(&id),
+                "{} {} but is not reported",
+                id,
+                if revived {
+                    "was revived"
+                } else {
+                    "was rewired"
+                }
+            );
+        }
+    }
+    Ok(())
+}
+
 /// DFS reachability oracle.
 fn reaches_dfs(net: &Network, from: NodeId, to: NodeId) -> bool {
     let mut seen = vec![false; net.node_count()];
@@ -215,9 +248,12 @@ proptest! {
         let reference = net.clone();
         let cp = net.checkpoint();
         let mut converters: Vec<NodeId> = Vec::new();
-        // an inner checkpoint with the converters live at it, rolled back
-        // to by the next kind-4 op
-        let mut inner: Option<(dvs_netlist::Checkpoint, Vec<NodeId>)> = None;
+        // structural edits since `cp`: a rollback over rail and size edits
+        // alone must report no rewired node
+        let mut structural = 0usize;
+        // an inner checkpoint with the converters live and the structural
+        // edit count at it, rolled back to by the next kind-4 op
+        let mut inner: Option<(dvs_netlist::Checkpoint, Vec<NodeId>, usize)> = None;
         for (seed, kind) in ops {
             let gates: Vec<NodeId> = net.gate_ids().collect();
             if gates.is_empty() { break; }
@@ -254,25 +290,38 @@ proptest! {
                             .insert_converter(g, &sinks, cover, CellRef(99))
                             .unwrap();
                         converters.push(conv);
+                        structural += 1;
                     }
                 }
                 3 => {
                     if let Some(conv) = converters.pop() {
                         net.remove_converter(conv).unwrap();
+                        structural += 1;
                     }
                 }
                 _ => match inner.take() {
-                    Some((mid, live)) => {
-                        net.rollback_to(mid);
+                    Some((mid, live, at)) => {
+                        let before = net.clone();
+                        let rewired = net.rollback_to(mid);
+                        check_rewired(&before, &net, &rewired)?;
+                        if structural == at {
+                            prop_assert!(rewired.is_empty(), "attribute-only rollback rewired {:?}", rewired);
+                        }
                         converters = live;
+                        structural = at;
                     }
-                    None => inner = Some((net.checkpoint(), converters.clone())),
+                    None => inner = Some((net.checkpoint(), converters.clone(), structural)),
                 },
             }
             prop_assert!(net.validate(None).is_ok());
             check_output_counts(&net)?;
         }
-        net.rollback_to(cp);
+        let before = net.clone();
+        let rewired = net.rollback_to(cp);
+        check_rewired(&before, &net, &rewired)?;
+        if structural == 0 {
+            prop_assert!(rewired.is_empty(), "attribute-only rollback rewired {:?}", rewired);
+        }
         prop_assert!(net.validate(None).is_ok());
         check_output_counts(&net)?;
         // exact restoration of every node slot, list orders included

@@ -113,16 +113,25 @@ pub fn budget_with_cores(outer_jobs: usize, requested: usize, cores: usize) -> u
 /// which costs tens of microseconds; for small batches that overhead
 /// swamps any speedup, so hot loops drop to sequential below a
 /// per-callsite floor. Callers must still route the batch through
-/// [`run_indexed`] (with the *adjusted* width) rather than skipping the
-/// call: the deterministic batch-shape metrics are a pure function of the
-/// items slice, and skipping the call would make obs rollups depend on
-/// the thread budget.
+/// [`run_indexed`] (with the *adjusted* width), or record its shape with
+/// [`record_batch`] when they run it inline: the deterministic
+/// batch-shape metrics are a pure function of the items slice, and
+/// skipping the sample would make obs rollups depend on the thread
+/// budget.
 pub fn effective_jobs(jobs: usize, len: usize, min_items: usize) -> usize {
     if len < min_items {
         1
     } else {
         jobs
     }
+}
+
+/// Records the deterministic batch-shape sample (`pool.batch_items`) of a
+/// `len`-item batch that the caller runs sequentially itself instead of
+/// through [`run_indexed`] — e.g. a loop that must mutate shared state
+/// between items — so its obs stream matches a routed batch.
+pub fn record_batch(len: usize) {
+    dvs_obs::hist_record("pool.batch_items", len as u64);
 }
 
 /// Applies `f` to every item on up to `jobs` worker threads and returns
@@ -158,7 +167,7 @@ where
     F: Fn(usize, &I) -> T + Sync,
 {
     let len = items.len();
-    dvs_obs::hist_record("pool.batch_items", len as u64);
+    record_batch(len);
     let jobs = jobs.max(1).min(len.max(1));
     if jobs == 1 {
         return items.iter().enumerate().map(|(i, it)| f(i, it)).collect();

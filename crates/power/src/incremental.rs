@@ -24,9 +24,9 @@
 //! |---|---|
 //! | `Rail` | nothing (voltages are read live) |
 //! | `SetSize` | nothing (sizes change loads, never logic) |
-//! | `ConverterInserted` | seed the converter's cone |
+//! | `ConverterInserted` | seed the converter's and its sinks' cones |
 //! | `ConverterRemoved` | seed the orphaned sinks' cones |
-//! | `Rollback` | seed every touched node's cone |
+//! | `Rollback` | seed the rewired and revived nodes' cones |
 //!
 //! Cone re-simulation walks the dirty region as a **level-synchronous
 //! wavefront**: dirty gates are bucketed by logic level, each level's
@@ -63,7 +63,7 @@
 use dvs_celllib::Library;
 use dvs_netlist::{node_level, FanoutCone, Network, NodeId};
 
-use crate::sim::{eval_row_into, row_stats, simulate_data};
+use crate::sim::{eval_level, row_stats, simulate_data};
 use crate::{estimate, Activities, PowerBreakdown};
 
 /// One network edit the power cache must absorb, mirroring the netlist
@@ -80,7 +80,8 @@ pub enum PowerDelta {
     /// nothing: the loads it moves are read live by the estimator.
     SetSize(NodeId),
     /// A level converter `conv` was spliced after its driver. Structural:
-    /// the node set grew and the new gate needs a waveform.
+    /// the node set grew, the new gate needs a waveform, and the sinks it
+    /// took over (its fanouts at refresh time) read it from now on.
     ConverterInserted {
         /// The freshly inserted converter gate.
         conv: NodeId,
@@ -93,14 +94,15 @@ pub enum PowerDelta {
         /// driver.
         sinks: Vec<NodeId>,
     },
-    /// A journal rollback restored an earlier network state. `touched` is
-    /// the list [`Network::rollback_to`] returns: every live
-    /// pre-checkpoint node whose rail, size or connectivity the unwind
-    /// rewrote (post-checkpoint nodes are truncated away and handled by
-    /// the refresh's array resize).
+    /// A journal rollback restored an earlier network state. `rewired` is
+    /// the list [`Network::rollback_to`] returns: every surviving node
+    /// whose fanin list the unwind rewrote, plus every converter it
+    /// revived. Undone rail and size edits need no seed, and
+    /// post-checkpoint nodes are truncated away and handled by the
+    /// refresh's array resize.
     Rollback {
-        /// Live pre-checkpoint nodes the rollback touched.
-        touched: Vec<NodeId>,
+        /// Surviving nodes the rollback rewired or revived.
+        rewired: Vec<NodeId>,
     },
 }
 
@@ -132,7 +134,7 @@ pub struct PowerState {
     /// Rows of dead nodes are stale garbage and are never read: the
     /// estimator skips dead nodes, and a cone evaluation only reads the
     /// fanins of live gates. A revived node is always in a rollback's
-    /// `touched` set and therefore re-evaluated.
+    /// `rewired` set and therefore re-evaluated.
     values: Vec<u64>,
     acts: Activities,
     /// Logic level of every node, the wavefront's bucket key. Slots of
@@ -232,9 +234,17 @@ impl PowerState {
         for d in &deltas {
             match d {
                 PowerDelta::Rail(_) | PowerDelta::SetSize(_) => {}
-                PowerDelta::ConverterInserted { conv } => seeds.push(*conv),
+                PowerDelta::ConverterInserted { conv } => {
+                    // the sinks were rewired onto the new row: a cutoff on
+                    // it cannot stand for them (its slot is zero-filled or
+                    // stale, and may equal the fresh row)
+                    seeds.push(*conv);
+                    if alive(*conv) {
+                        seeds.extend_from_slice(net.fanouts(*conv));
+                    }
+                }
                 PowerDelta::ConverterRemoved { sinks } => seeds.extend_from_slice(sinks),
-                PowerDelta::Rollback { touched } => seeds.extend_from_slice(touched),
+                PowerDelta::Rollback { rewired } => seeds.extend_from_slice(rewired),
             }
         }
 
@@ -271,15 +281,16 @@ impl PowerState {
                 "cached levels diverged from Levels::of"
             );
             let level = &self.level;
-            let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); depth as usize + 1];
+            let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); depth as usize + 1];
             let mut queued = vec![false; n];
             for &s in &seeds {
                 if alive(s) && net.node(s).is_gate() && !queued[s.index()] {
                     queued[s.index()] = true;
-                    buckets[level[s.index()] as usize].push(s.index());
+                    buckets[level[s.index()] as usize].push(s);
                 }
             }
             let (words, vectors, jobs) = (self.words, self.vectors, self.jobs);
+            let mut buf = Vec::new();
             for l in 0..buckets.len() {
                 let mut batch = std::mem::take(&mut buckets[l]);
                 if batch.is_empty() {
@@ -288,47 +299,38 @@ impl PowerState {
                 batch.sort_unstable();
                 stats.levels += 1;
                 stats.cone_nodes += batch.len();
-                // gather: evaluate the whole level against the committed
-                // cache (read-only), in parallel
-                let values = &self.values;
-                let batch_jobs =
-                    dvs_pool::effective_jobs(jobs, batch.len(), crate::sim::PAR_MIN_ROWS);
-                let rows = dvs_pool::run_indexed(&batch, batch_jobs, |_, &ix| {
-                    let mut out = vec![0u64; words];
-                    let mut pin_buf: Vec<u64> = Vec::with_capacity(8);
-                    eval_row_into(
-                        net,
-                        lib,
-                        values,
-                        words,
-                        NodeId::from_index(ix),
-                        &mut out,
-                        &mut pin_buf,
-                    );
-                    out
-                });
-                // scatter: commit changed rows in index order and enqueue
-                // their fanouts into later buckets
-                for (fresh, &ix) in rows.iter().zip(&batch) {
-                    let row = &mut self.values[ix * words..][..words];
-                    if row != &fresh[..] {
+                // evaluate the level against the committed cache, then
+                // commit changed rows in index order and enqueue their
+                // fanouts into later buckets; a bit-identical row keeps its
+                // cached stats and cuts its cone off
+                let acts = &mut self.acts;
+                eval_level(
+                    net,
+                    lib,
+                    &mut self.values,
+                    words,
+                    &batch,
+                    jobs,
+                    &mut buf,
+                    |values, k, fresh| {
+                        let ix = batch[k].index();
+                        let row = &mut values[ix * words..][..words];
+                        if row == fresh {
+                            return;
+                        }
                         row.copy_from_slice(fresh);
                         let (p, s) = row_stats(fresh, vectors);
-                        self.acts.p_one[ix] = p;
-                        self.acts.sw01[ix] = s;
-                        let id = NodeId::from_index(ix);
-                        for &f in net.fanouts(id) {
+                        acts.p_one[ix] = p;
+                        acts.sw01[ix] = s;
+                        for &f in net.fanouts(batch[k]) {
                             if net.node(f).is_gate() && !net.node(f).is_dead() && !queued[f.index()]
                             {
                                 queued[f.index()] = true;
-                                buckets[level[f.index()] as usize].push(f.index());
+                                buckets[level[f.index()] as usize].push(f);
                             }
                         }
-                    }
-                    // bit-identical recomputation: cached stats already
-                    // agree, and no downstream waveform can differ — cut
-                    // the cone off
-                }
+                    },
+                );
             }
         }
 
@@ -544,9 +546,15 @@ mod tests {
         ps.refresh(&net, &lib);
         assert_exact(&ps, &net, &lib);
 
-        let touched = net.rollback_to(cp);
-        ps.note(PowerDelta::Rollback { touched });
-        ps.refresh(&net, &lib);
+        let rewired = net.rollback_to(cp);
+        assert_eq!(
+            rewired,
+            vec![g2],
+            "the undone rail and size edits seed nothing"
+        );
+        ps.note(PowerDelta::Rollback { rewired });
+        let stats = ps.refresh(&net, &lib);
+        assert_eq!(stats.cone_nodes, 1, "only the rewired sink re-evaluates");
         assert_exact(&ps, &net, &lib);
         let after = ps.breakdown(&net, &lib);
         assert_eq!(after.total_uw, before.total_uw, "unwind is exact");

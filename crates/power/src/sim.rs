@@ -1,19 +1,29 @@
 //! Bit-parallel random-vector logic simulation.
 //!
+//! A node's waveform is a **row** of `vectors.div_ceil(64)` words, 64
+//! vectors per word. A gate's row is computed by its cell's row kernel
+//! ([`dvs_celllib::GateFn::eval_rows`]), which runs one logic operation
+//! at a time over whole rows and reads the fanin rows in place
+//! ([`eval_row_into`]); per-row statistics ([`row_stats`]) count whole
+//! words with integer popcounts.
+//!
 //! The gate evaluation sweep is a **parallel wavefront**: gates are
 //! grouped by logic level (as [`dvs_netlist::Levels`] defines it) and
-//! each level's waveform rows are evaluated concurrently on the shared
-//! [`dvs_pool`] worker pool — a row depends only on fanin rows, which a
-//! level boundary guarantees are committed. Results are identical to the
-//! sequential topological sweep for any thread count (exact `f64 ==`,
-//! same bits): per-row evaluation ([`eval_row_into`]) and the statistics
-//! loop ([`row_stats`]) are unchanged, rows are committed in level order,
-//! and rows within a level are independent by construction.
+//! each level's rows are evaluated by [`eval_level`] — a row depends only
+//! on fanin rows, which a level boundary guarantees are committed. A
+//! narrow level is evaluated row by row into one scratch row and
+//! committed at once; a wide one runs on the shared [`dvs_pool`] worker
+//! pool into one buffer reused across levels, so no row allocates.
+//! Results are identical to the sequential topological sweep for any
+//! thread count (exact `f64 ==`, same bits): each row is evaluated by the
+//! same kernel, rows are committed in level order, and rows within a
+//! level are independent by construction.
 
 use dvs_celllib::Library;
 use dvs_netlist::{node_level, Network, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Mutex;
 
 /// Per-net signal statistics from random simulation.
 ///
@@ -149,8 +159,10 @@ pub(crate) struct SimData {
     pub level: Vec<u32>,
 }
 
-/// Evaluates gate `id`'s waveform from its fanins' cached rows in `values`
-/// into `out` (which must hold `words` words). `pin_buf` is scratch.
+/// Evaluates gate `id`'s waveform into `out` (which must hold `words`
+/// words), reading its fanins' rows straight from the node-major `values`
+/// and running the cell's row kernel ([`dvs_celllib::GateFn::eval_rows`])
+/// over them.
 ///
 /// Shared by the from-scratch simulator and the incremental cone resim so
 /// both produce bit-identical waveforms for identical fanin rows.
@@ -161,57 +173,96 @@ pub(crate) fn eval_row_into(
     words: usize,
     id: NodeId,
     out: &mut [u64],
-    pin_buf: &mut Vec<u64>,
 ) {
     let node = net.node(id);
-    let func = lib.cell(node.cell()).function();
-    let fanins: Vec<usize> = node.fanins().iter().map(|f| f.index() * words).collect();
-    for (w, slot) in out.iter_mut().enumerate().take(words) {
-        pin_buf.clear();
-        for &base in &fanins {
-            pin_buf.push(values[base + w]);
+    let fanins = node.fanins();
+    lib.cell(node.cell())
+        .function()
+        .eval_rows(|i| &values[fanins[i].index() * words..][..words], out);
+}
+
+/// Evaluates one wavefront level of gates and hands row `k` of `level` to
+/// `commit(values, k, row)`, in level order. A row reads only the
+/// committed rows of earlier levels, so the rows of one level are
+/// independent: sequentially each row is evaluated into one scratch row
+/// and committed at once; from [`PAR_MIN_ROWS`] rows on, `jobs` pool
+/// threads evaluate the whole level into `buf` before the commits. Every
+/// byte is the same at any width. `buf` is reused across levels, so no
+/// row allocates.
+///
+/// Records the level's `pool.batch_items` sample (one item per row) at
+/// every width.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn eval_level(
+    net: &Network,
+    lib: &Library,
+    values: &mut [u64],
+    words: usize,
+    level: &[NodeId],
+    jobs: usize,
+    buf: &mut Vec<u64>,
+    mut commit: impl FnMut(&mut [u64], usize, &[u64]),
+) {
+    let jobs = dvs_pool::effective_jobs(jobs, level.len(), PAR_MIN_ROWS);
+    if jobs == 1 {
+        dvs_pool::record_batch(level.len());
+        buf.resize(words, 0);
+        for (k, &id) in level.iter().enumerate() {
+            eval_row_into(net, lib, values, words, id, buf);
+            commit(values, k, buf);
         }
-        *slot = func.eval_words(pin_buf);
+        return;
+    }
+    buf.resize(level.len() * words, 0);
+    {
+        // each item owns its output row behind an uncontended lock, so the
+        // workers write disjoint rows of the one buffer
+        let items: Vec<(NodeId, Mutex<&mut [u64]>)> = level
+            .iter()
+            .zip(buf.chunks_exact_mut(words))
+            .map(|(&id, out)| (id, Mutex::new(out)))
+            .collect();
+        let values = &*values;
+        dvs_pool::run_indexed(&items, jobs, |_, (id, out)| {
+            let mut out = out.lock().expect("a row lock is never poisoned");
+            eval_row_into(net, lib, values, words, *id, &mut out);
+        });
+    }
+    for (k, row) in buf.chunks_exact(words).enumerate() {
+        commit(values, k, row);
     }
 }
 
 /// `(p_one, sw01)` statistics of one node waveform row, masking the tail
 /// bits of the last partially used word.
 ///
-/// Extracted from the simulator's stats loop verbatim so the incremental
-/// engine recomputes bit-identical values from cached rows.
+/// Shared by the simulator's stats loop and the incremental engine, so
+/// both derive bit-identical values from identical rows. The counts are
+/// integers: full words are counted without per-word branches and the tail
+/// word once.
 pub(crate) fn row_stats(row: &[u64], vectors: usize) -> (f64, f64) {
-    let words = row.len();
-    let tail_bits = vectors - (words - 1) * 64;
-    let tail_mask = if tail_bits == 64 {
-        !0u64
-    } else {
-        (1u64 << tail_bits) - 1
-    };
+    let (&tail, full) = row.split_last().expect("a waveform row has a word");
+    let used = vectors - full.len() * 64;
     let mut ones = 0u64;
     let mut transitions = 0u64;
-    let mut prev_last: Option<bool> = None;
-    for (w, &raw) in row.iter().enumerate() {
-        let mask = if w + 1 == words { tail_mask } else { !0u64 };
-        let v = raw & mask;
-        let used = if w + 1 == words { tail_bits } else { 64 };
-        ones += v.count_ones() as u64;
-        // within-word 0→1 transitions between vector b and b+1
-        let pairs = (!v & (v >> 1))
-            & if used == 64 {
-                !0 >> 1
-            } else {
-                (1u64 << (used - 1)) - 1
-            };
-        transitions += pairs.count_ones() as u64;
-        // across the word boundary
-        if let Some(last) = prev_last {
-            if !last && v & 1 == 1 {
-                transitions += 1;
-            }
-        }
-        prev_last = Some(v >> (used - 1) & 1 == 1);
+    // top bit of the previous word: a boundary 0→1 transition needs it 0,
+    // and the first word has no predecessor
+    let mut prev_top = 1u64;
+    for &v in full {
+        ones += u64::from(v.count_ones());
+        // within-word 0→1 transitions between vector b and b+1 (`v >> 1`
+        // clears bit 63, which has no successor in this word)
+        transitions += u64::from((!v & (v >> 1)).count_ones());
+        transitions += !prev_top & v & 1;
+        prev_top = v >> 63;
     }
+    let used_mask = !0u64 >> (64 - used);
+    let v = tail & used_mask;
+    ones += u64::from(v.count_ones());
+    // the tail's last used bit has no successor
+    let pairs = !v & (v >> 1) & (used_mask >> 1);
+    transitions += u64::from(pairs.count_ones());
+    transitions += !prev_top & v & 1;
     (
         ones as f64 / vectors as f64,
         transitions as f64 / (vectors - 1) as f64,
@@ -264,20 +315,23 @@ pub(crate) fn simulate_data(
         }
     }
 
-    // Wavefront sweep: gather each level's rows in parallel (reads only
-    // committed fanin rows), then scatter sequentially in level order.
+    // Wavefront sweep: evaluate each level (reads only committed fanin
+    // rows) and commit its rows in level order.
     let (fronts, level) = gate_wavefronts(net);
+    let mut buf = Vec::new();
     for front in &fronts {
-        let level_jobs = dvs_pool::effective_jobs(jobs, front.len(), PAR_MIN_ROWS);
-        let rows = dvs_pool::run_indexed(front, level_jobs, |_, &id| {
-            let mut out = vec![0u64; words];
-            let mut pin_buf: Vec<u64> = Vec::with_capacity(8);
-            eval_row_into(net, lib, &values, words, id, &mut out, &mut pin_buf);
-            out
-        });
-        for (row, &id) in rows.iter().zip(front) {
-            values[id.index() * words..][..words].copy_from_slice(row);
-        }
+        eval_level(
+            net,
+            lib,
+            &mut values,
+            words,
+            front,
+            jobs,
+            &mut buf,
+            |values, k, row| {
+                values[front[k].index() * words..][..words].copy_from_slice(row);
+            },
+        );
     }
 
     let mut p_one = vec![0.0; n];
@@ -400,6 +454,23 @@ mod tests {
             let acts = simulate(&net, &lib, vectors, 11);
             assert!(acts.one_prob(a) >= 0.0 && acts.one_prob(a) <= 1.0);
             assert!(acts.switching(g) >= 0.0 && acts.switching(g) <= 1.0);
+        }
+    }
+
+    #[test]
+    fn row_stats_matches_a_per_vector_count() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        for vectors in [2usize, 63, 64, 65, 100, 129, 4096] {
+            for _ in 0..8 {
+                // random tail bits past `vectors` must be ignored
+                let row: Vec<u64> = (0..vectors.div_ceil(64)).map(|_| rng.gen()).collect();
+                let bit = |v: usize| row[v / 64] >> (v % 64) & 1 == 1;
+                let ones = (0..vectors).filter(|&v| bit(v)).count();
+                let rises = (1..vectors).filter(|&v| !bit(v - 1) && bit(v)).count();
+                let (p, s) = row_stats(&row, vectors);
+                assert_eq!(p, ones as f64 / vectors as f64, "p_one at {vectors}");
+                assert_eq!(s, rises as f64 / (vectors - 1) as f64, "sw01 at {vectors}");
+            }
         }
     }
 

@@ -10,7 +10,8 @@
 //!
 //! The random networks stay below [`PAR_MIN_ROWS`], so their wide lanes
 //! run sequentially; one fixed layered network with a 640-row level takes
-//! both the simulation gather and the refresh onto the pool.
+//! both the simulation gather and the refresh of a rollback that rewires
+//! that level onto the pool.
 
 use dvs_celllib::{compass, Library, VoltagePair};
 use dvs_netlist::{Levels, Network, NodeId, Rail};
@@ -100,8 +101,9 @@ fn widest_level(net: &Network) -> usize {
 
 /// The pooled paths: a wide level is gathered on 2 and 4 threads by both
 /// the from-scratch simulation and a refresh that re-simulates the level a
-/// rolled-back batch of rail edits touched, and every value agrees with
-/// the sequential run bit for bit.
+/// rollback rewired (converters spliced after every primary input, then
+/// undone, move all 640 first-level gates back onto the inputs), and every
+/// value agrees with the sequential run bit for bit.
 #[test]
 fn wide_level_is_thread_count_invariant_on_the_pool() {
     let lib = lib();
@@ -134,17 +136,19 @@ fn wide_level_is_thread_count_invariant_on_the_pool() {
         n.enable_journal();
         let mut ps = PowerState::with_jobs(&n, &lib, vectors, seed, FCLK_MHZ, jobs);
         let cp = n.checkpoint();
-        for &g in &level_one {
-            n.set_rail(g, Rail::Low);
-            ps.note(PowerDelta::Rail(g));
+        for pi in n.primary_inputs().to_vec() {
+            let mut sinks = n.fanouts(pi).to_vec();
+            sinks.sort_unstable();
+            sinks.dedup();
+            let conv = n
+                .insert_converter(pi, &sinks, false, lib.converter())
+                .unwrap();
+            ps.note(PowerDelta::ConverterInserted { conv });
         }
         ps.refresh(&n, &lib);
-        let touched = n.rollback_to(cp);
-        assert!(
-            touched.len() >= PAR_MIN_ROWS,
-            "the rollback reseeds the whole level"
-        );
-        ps.note(PowerDelta::Rollback { touched });
+        let rewired = n.rollback_to(cp);
+        assert_eq!(rewired, level_one, "the rollback reseeds the whole level");
+        ps.note(PowerDelta::Rollback { rewired });
         let stats = ps.refresh(&n, &lib);
         lanes.push((stats, ps.breakdown(&n, &lib), ps));
     }
